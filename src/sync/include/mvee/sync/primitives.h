@@ -6,7 +6,10 @@
 // and replay the full synchronization behaviour. Blocking primitives sleep
 // through the SyncContext's futex hook (routed through the monitor as
 // sys_futex in MVEE runs) and degrade to spin/yield when no hook is
-// installed (native runs).
+// installed (native runs). Mutex, CondVar, Semaphore and OnceFlag count
+// their registered sleepers in the futex word itself and wake only when
+// that count is nonzero, so an uncontended program makes no futex call
+// (docs/DESIGN.md §13).
 
 #ifndef MVEE_SYNC_PRIMITIVES_H_
 #define MVEE_SYNC_PRIMITIVES_H_
@@ -45,8 +48,9 @@ class TicketLock {
   InstrumentedAtomic<int32_t> now_serving_{0};
 };
 
-// Futex-based mutex (three-state: 0 free, 1 locked, 2 contended), the
-// pthread_mutex equivalent.
+// Futex-based mutex, the pthread_mutex equivalent. Word: bit 0 is "locked",
+// the bits above count registered sleepers. Lock's fast path is one CAS
+// 0 -> 1; Unlock is one FetchSub and wakes only if a sleeper is registered.
 class Mutex {
  public:
   void Lock();
@@ -85,17 +89,21 @@ class LockGuard {
   LockType& lock_;
 };
 
-// Condition variable over Mutex (sequence-count design, immune to missed
-// wakeups).
+// Condition variable over Mutex. Word: the low 12 bits count registered
+// waiters, the bits above are a signal sequence. A waiter registers before
+// unlocking and sleeps on the word it registered, so a signal after the
+// registration either changes that word or wakes it. Wait may return
+// spuriously; callers re-check their predicate.
 class CondVar {
  public:
   // Atomically unlocks `mutex`, waits for a signal, relocks.
   void Wait(Mutex& mutex);
+  // Both wake only if a waiter is registered.
   void Signal();
   void Broadcast();
 
  private:
-  InstrumentedAtomic<int32_t> seq_{0};
+  InstrumentedAtomic<int32_t> word_{0};
 };
 
 // Sense-reversing barrier for `participants` threads.
@@ -112,17 +120,19 @@ class Barrier {
   InstrumentedAtomic<int32_t> phase_{0};
 };
 
-// Counting semaphore.
+// Counting semaphore. Word: the low 12 bits count registered waiters, the
+// bits above are the permits (at most 2^19 - 1). Release wakes only if a
+// waiter is registered.
 class Semaphore {
  public:
-  explicit Semaphore(int32_t initial) : count_(initial) {}
+  explicit Semaphore(int32_t initial);
 
   void Acquire();
   bool TryAcquire();
   void Release();
 
  private:
-  InstrumentedAtomic<int32_t> count_;
+  InstrumentedAtomic<int32_t> word_;
 };
 
 // Writer-preference readers/writer lock.
@@ -141,11 +151,12 @@ class RwLock {
   InstrumentedAtomic<int32_t> writers_waiting_{0};
 };
 
-// One-shot initialization flag.
+// One-shot initialization flag. Word: the low two bits are the state, the
+// bits above count the callers that slept waiting for Done().
 class OnceFlag {
  public:
   // Returns true for the single thread that should run the initializer;
-  // other callers block until Done() is called.
+  // other callers spin briefly, then sleep until Done() is called.
   bool Begin();
   void Done();
   // Convenience: runs `fn` exactly once across all callers.
@@ -158,7 +169,7 @@ class OnceFlag {
   }
 
  private:
-  InstrumentedAtomic<int32_t> state_{0};  // 0 new, 1 running, 2 done
+  InstrumentedAtomic<int32_t> state_{0};  // state: 0 new, 1 running, 2 done
 };
 
 // Completion counter: Add(n) before spawning, Done() in each worker,

@@ -27,6 +27,37 @@ void FutexNotify(const std::atomic<int32_t>* word, int32_t count) {
   }
 }
 
+// Mutex word: bit 0 is "locked", the bits above count registered sleepers
+// (docs/DESIGN.md §13).
+constexpr int32_t kMutexLocked = 1;
+constexpr int32_t kMutexSleeper = 2;
+
+// CondVar and Semaphore words: the low kWaiterBits count registered waiters;
+// the bits above hold the condvar's sequence or the semaphore's permits.
+constexpr int kWaiterBits = 12;
+constexpr int32_t kWaiter = 1;
+constexpr int32_t kWaiterMask = (1 << kWaiterBits) - 1;
+constexpr int32_t kSequence = 1 << kWaiterBits;
+constexpr int32_t kPermit = 1 << kWaiterBits;
+
+// OnceFlag word: the low two bits are the state, the bits above count
+// registered sleepers.
+constexpr int32_t kOnceRunning = 1;
+constexpr int32_t kOnceDone = 2;
+constexpr int32_t kOnceStateMask = 3;
+constexpr int32_t kOnceSleeper = 4;
+
+// Takes an unlocked mutex whose word is `current` (updated on failure),
+// leaving the sleeper count as it is.
+bool AcquireUnlocked(InstrumentedAtomic<int32_t>& state, int32_t& current) {
+  while ((current & kMutexLocked) == 0) {
+    if (state.CompareExchange(current, current | kMutexLocked)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 void SpinLock::Lock() {
@@ -59,47 +90,59 @@ void TicketLock::Lock() {
 void TicketLock::Unlock() { now_serving_.FetchAdd(1); }
 
 void Mutex::Lock() {
-  int32_t expected = 0;
-  if (state_.CompareExchange(expected, 1)) {
+  int32_t current = 0;
+  if (state_.CompareExchange(current, kMutexLocked)) {
     return;  // Uncontended fast path: no syscall, like glibc.
   }
-  // Contended: advertise a waiter and sleep.
+  if (AcquireUnlocked(state_, current)) {
+    return;  // Unlocked, but sleepers are registered.
+  }
+  // Contended: register once, then sleep on the word the registration left.
+  current = state_.FetchAdd(kMutexSleeper) + kMutexSleeper;
   for (;;) {
-    const int32_t current = state_.Exchange(2);
-    if (current == 0) {
-      return;  // Acquired (and conservatively marked contended).
+    if ((current & kMutexLocked) == 0) {
+      // Acquire and deregister in one CAS.
+      if (state_.CompareExchange(current, (current - kMutexSleeper) | kMutexLocked)) {
+        return;
+      }
+      continue;  // CompareExchange updated `current`.
     }
-    FutexSleep(state_.raw(), 2);
+    FutexSleep(state_.raw(), current);
+    current = state_.Load();
   }
 }
 
 bool Mutex::TryLock() {
-  int32_t expected = 0;
-  return state_.CompareExchange(expected, 1);
+  int32_t current = 0;
+  return state_.CompareExchange(current, kMutexLocked) || AcquireUnlocked(state_, current);
 }
 
 void Mutex::Unlock() {
-  const int32_t previous = state_.Exchange(0);
-  if (previous == 2) {
-    FutexNotify(state_.raw(), 1);
+  if (state_.FetchSub(kMutexLocked) != kMutexLocked) {
+    FutexNotify(state_.raw(), 1);  // A sleeper is registered.
   }
 }
 
 void CondVar::Wait(Mutex& mutex) {
-  const int32_t observed_seq = seq_.Load();
+  // Register before unlocking: a signaller that takes the mutex afterwards
+  // is ordered after the registration on this word and sees the waiter.
+  const int32_t registered = word_.FetchAdd(kWaiter) + kWaiter;
   mutex.Unlock();
-  FutexSleep(seq_.raw(), observed_seq);
+  FutexSleep(word_.raw(), registered);
+  word_.FetchSub(kWaiter);
   mutex.Lock();
 }
 
 void CondVar::Signal() {
-  seq_.FetchAdd(1);
-  FutexNotify(seq_.raw(), 1);
+  if ((word_.FetchAdd(kSequence) & kWaiterMask) != 0) {
+    FutexNotify(word_.raw(), 1);
+  }
 }
 
 void CondVar::Broadcast() {
-  seq_.FetchAdd(1);
-  FutexNotify(seq_.raw(), 1 << 30);
+  if ((word_.FetchAdd(kSequence) & kWaiterMask) != 0) {
+    FutexNotify(word_.raw(), 1 << 30);
+  }
 }
 
 bool Barrier::Arrive() {
@@ -120,23 +163,31 @@ bool Barrier::Arrive() {
   return false;
 }
 
+Semaphore::Semaphore(int32_t initial) : word_(initial * kPermit) {}
+
 void Semaphore::Acquire() {
+  if (TryAcquire()) {
+    return;
+  }
+  // No permit: register once, then sleep on the word the registration left.
+  int32_t current = word_.FetchAdd(kWaiter) + kWaiter;
   for (;;) {
-    int32_t current = count_.Load();
-    while (current > 0) {
-      if (count_.CompareExchange(current, current - 1)) {
+    if (current >= kPermit) {
+      // Take a permit and deregister in one CAS.
+      if (word_.CompareExchange(current, current - kPermit - kWaiter)) {
         return;
       }
-      // CompareExchange updated `current`; retry if still positive.
+      continue;  // CompareExchange updated `current`.
     }
-    FutexSleep(count_.raw(), 0);
+    FutexSleep(word_.raw(), current);
+    current = word_.Load();
   }
 }
 
 bool Semaphore::TryAcquire() {
-  int32_t current = count_.Load();
-  while (current > 0) {
-    if (count_.CompareExchange(current, current - 1)) {
+  int32_t current = word_.Load();
+  while (current >= kPermit) {
+    if (word_.CompareExchange(current, current - kPermit)) {
       return true;
     }
   }
@@ -144,8 +195,9 @@ bool Semaphore::TryAcquire() {
 }
 
 void Semaphore::Release() {
-  count_.FetchAdd(1);
-  FutexNotify(count_.raw(), 1);
+  if ((word_.FetchAdd(kPermit) & kWaiterMask) != 0) {
+    FutexNotify(word_.raw(), 1);
+  }
 }
 
 void RwLock::ReadLock() {
@@ -183,20 +235,33 @@ void RwLock::WriteLock() {
 void RwLock::WriteUnlock() { state_.Store(0); }
 
 bool OnceFlag::Begin() {
-  int32_t expected = 0;
-  if (state_.CompareExchange(expected, 1)) {
+  int32_t current = 0;
+  if (state_.CompareExchange(current, kOnceRunning)) {
     return true;
   }
+  // Spin through a short initializer, then register and sleep until Done().
   SpinWait waiter;
-  while (state_.Load() != 2) {
+  while ((current & kOnceStateMask) != kOnceDone && waiter.Spinning()) {
     waiter.Pause();
+    current = state_.Load();
+  }
+  if ((current & kOnceStateMask) == kOnceDone) {
+    return false;
+  }
+  current = state_.FetchAdd(kOnceSleeper) + kOnceSleeper;
+  while ((current & kOnceStateMask) != kOnceDone) {
+    FutexSleep(state_.raw(), current);
+    current = state_.Load();
   }
   return false;
 }
 
 void OnceFlag::Done() {
-  state_.Store(2);
-  FutexNotify(state_.raw(), 1 << 30);
+  // Sleepers never deregister: Done runs once, and after it only the state
+  // bits are read.
+  if ((state_.FetchAdd(kOnceDone - kOnceRunning) & ~kOnceStateMask) != 0) {
+    FutexNotify(state_.raw(), 1 << 30);
+  }
 }
 
 void WaitGroup::Done() {

@@ -30,6 +30,10 @@ class SpinWait {
 
   void Reset() { spins_ = 0; }
 
+  // True until Pause() leaves its busy-spin phase. A caller with a futex
+  // word to sleep on sleeps from then on instead of yielding.
+  bool Spinning() const { return spins_ < kSpinLimit; }
+
   uint64_t spins() const { return spins_; }
 
  private:

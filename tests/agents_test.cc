@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -22,6 +23,7 @@
 #include "mvee/agents/agent_fleet.h"
 #include "mvee/agents/context.h"
 #include "mvee/monitor/mvee.h"
+#include "mvee/monitor/native.h"
 #include "mvee/sync/primitives.h"
 #include "mvee/util/rng.h"
 #include "mvee/util/variant_killed.h"
@@ -504,6 +506,52 @@ TEST(PrimitivesTest, TryLockContract) {
   mutex.Unlock();
   EXPECT_TRUE(mutex.TryLock());
   mutex.Unlock();
+}
+
+// Futex hook whose waits block until the test opens the gate, so a sleeper
+// stays registered in the futex word for as long as the test needs.
+class GatedFutexHook final : public FutexHook {
+ public:
+  int64_t FutexWait(const std::atomic<int32_t>* word, int32_t expected) override {
+    if (word->load() != expected) {
+      return -EAGAIN;
+    }
+    waiting.store(true);
+    while (!open.load()) {
+      std::this_thread::yield();
+    }
+    return 0;
+  }
+  int64_t FutexWake(const std::atomic<int32_t>*, int32_t) override { return 0; }
+
+  std::atomic<bool> waiting{false};
+  std::atomic<bool> open{false};
+};
+
+TEST(PrimitivesTest, TryLockTakesUnlockedMutexWithRegisteredSleeper) {
+  constexpr int32_t kLocked = 1;
+  constexpr int32_t kOneSleeper = 2;
+  Mutex mutex;
+  mutex.Lock();
+  GatedFutexHook hook;
+  std::thread sleeper([&] {
+    SyncContext context{NullAgent::Instance(), &hook, 1};
+    ScopedSyncContext scoped(&context);
+    mutex.Lock();
+    mutex.Unlock();
+  });
+  while (!hook.waiting.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(mutex.state().raw()->load(), kLocked + kOneSleeper);
+  mutex.Unlock();
+  EXPECT_EQ(mutex.state().raw()->load(), kOneSleeper);
+  EXPECT_TRUE(mutex.TryLock());
+  EXPECT_FALSE(mutex.TryLock());
+  mutex.Unlock();
+  hook.open.store(true);
+  sleeper.join();
+  EXPECT_EQ(mutex.state().raw()->load(), 0);
 }
 
 TEST(PrimitivesTest, BarrierPhases) {
@@ -1077,6 +1125,212 @@ TEST(ShardedRecordingTest, VerdictAndOutputEquivalenceUnderMvee) {
     EXPECT_EQ(sharded, "40,40") << AgentKindName(kind);
     EXPECT_EQ(sharded, baseline) << AgentKindName(kind);
   }
+}
+
+// --- Sleeper-counted futex words (docs/DESIGN.md §13) ---
+
+// Runs `cycles` uncontended rounds of every sleeper-counted primitive on one
+// thread under a 2-variant MVEE; returns the replicated-trap count.
+uint64_t ReplicatedTrapsForUncontendedCycles(int cycles) {
+  MveeOptions options;
+  options.num_variants = 2;
+  options.enable_aslr = false;
+  Mvee mvee(options);
+  const Status status = mvee.Run([cycles](VariantEnv& env) {
+    Mutex mutex;
+    CondVar cv;
+    Semaphore semaphore(1);
+    for (int i = 0; i < cycles; ++i) {
+      mutex.Lock();
+      cv.Signal();
+      cv.Broadcast();
+      mutex.Unlock();
+      if (mutex.TryLock()) {
+        mutex.Unlock();
+      }
+      semaphore.Release();
+      semaphore.Acquire();
+      semaphore.Acquire();
+      semaphore.Release();
+      OnceFlag once;
+      once.CallOnce([] {});
+      once.CallOnce([] {});
+    }
+    env.Gettid();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return mvee.report().syscalls.replicated;
+}
+
+TEST(SleeperCountedWordsTest, NoSleeperNoTrap) {
+  EXPECT_EQ(ReplicatedTrapsForUncontendedCycles(10), ReplicatedTrapsForUncontendedCycles(1000));
+}
+
+std::string DigestFile(VirtualKernel& kernel) {
+  auto file = kernel.vfs().Open("result/digest", false);
+  if (file == nullptr) {
+    return "<missing>";
+  }
+  const auto bytes = file->Contents();
+  return std::string(bytes.begin(), bytes.end());
+}
+
+void WriteDigest(VariantEnv& env, uint64_t digest) {
+  const int64_t fd =
+      env.Open("result/digest", VOpenFlags::kWrite | VOpenFlags::kCreate | VOpenFlags::kTruncate);
+  env.Write(fd, std::to_string(digest));
+  env.Close(fd);
+}
+
+// Runs `program` 20 times natively and 20 times under a 2-variant MVEE (a
+// new seed each time); every run must be OK and write the same digest. The
+// programs' digests do not depend on the schedule, so a mismatch or a hang
+// is a lost or misdirected wakeup.
+void ExpectSameDigestNativeAndMvee(const std::string& name, const Program& program) {
+  HardTimeout timeout(std::chrono::seconds(60), "SleeperCountedWordsTest." + name);
+  std::string reference;
+  for (uint64_t round = 1; round <= 20; ++round) {
+    NativeRunner runner(nullptr, round);
+    ASSERT_TRUE(runner.Run(program).ok()) << name << " native round " << round;
+    const std::string native = DigestFile(runner.kernel());
+    if (reference.empty()) {
+      reference = native;
+    }
+    EXPECT_EQ(native, reference) << name << " native round " << round;
+
+    MveeOptions options;
+    options.num_variants = 2;
+    options.seed = round;
+    options.rendezvous_timeout = std::chrono::milliseconds(60000);
+    options.agent_config.replay_deadline = std::chrono::milliseconds(60000);
+    Mvee mvee(options);
+    const Status status = mvee.Run(program);
+    ASSERT_TRUE(status.ok()) << name << " MVEE round " << round << ": " << status.ToString();
+    EXPECT_EQ(DigestFile(mvee.kernel()), reference) << name << " MVEE round " << round;
+  }
+}
+
+// Capacity-1 queue: every push after the first waits for a pop and every pop
+// waits for a push, so each item crosses a sleeper on both condvars.
+TEST(SleeperCountedWordsTest, CapacityOneQueueTwoProducersTwoConsumers) {
+  ExpectSameDigestNativeAndMvee("CapacityOneQueue", [](VariantEnv& env) {
+    constexpr uint64_t kItemsPerProducer = 150;
+    struct Queue {
+      Mutex mutex;
+      CondVar not_empty;
+      CondVar not_full;
+      bool full = false;
+      uint64_t slot = 0;
+      uint64_t produced = 0;
+      uint64_t sum = 0;
+      uint64_t popped = 0;
+    };
+    auto queue = std::make_shared<Queue>();
+    std::vector<ThreadHandle> threads;
+    for (uint64_t p = 0; p < 2; ++p) {
+      threads.push_back(env.Spawn([queue, p](VariantEnv&) {
+        for (uint64_t i = 1; i <= kItemsPerProducer; ++i) {
+          LockGuard<Mutex> guard(queue->mutex);
+          while (queue->full) {
+            queue->not_full.Wait(queue->mutex);
+          }
+          queue->slot = p * 1000 + i;
+          queue->full = true;
+          queue->not_empty.Signal();
+        }
+      }));
+    }
+    for (int c = 0; c < 2; ++c) {
+      threads.push_back(env.Spawn([queue](VariantEnv&) {
+        for (uint64_t i = 0; i < kItemsPerProducer; ++i) {
+          LockGuard<Mutex> guard(queue->mutex);
+          while (!queue->full) {
+            queue->not_empty.Wait(queue->mutex);
+          }
+          queue->sum += queue->slot;
+          ++queue->popped;
+          queue->full = false;
+          queue->not_full.Signal();
+        }
+      }));
+    }
+    for (ThreadHandle& thread : threads) {
+      env.Join(thread);
+    }
+    WriteDigest(env, queue->sum * 1000003 + queue->popped);
+  });
+}
+
+// Three waiters register on the condvar (the caller sees them counted under
+// the mutex) before one Broadcast must release all of them.
+TEST(SleeperCountedWordsTest, BroadcastReleasesThreeSleepers) {
+  ExpectSameDigestNativeAndMvee("BroadcastReleasesThreeSleepers", [](VariantEnv& env) {
+    constexpr int kWaiters = 3;
+    struct State {
+      Mutex mutex;
+      CondVar cv;
+      CondVar all_waiting;
+      int waiting = 0;
+      bool go = false;
+      int released = 0;
+    };
+    auto state = std::make_shared<State>();
+    std::vector<ThreadHandle> threads;
+    for (int w = 0; w < kWaiters; ++w) {
+      threads.push_back(env.Spawn([state](VariantEnv&) {
+        LockGuard<Mutex> guard(state->mutex);
+        ++state->waiting;
+        state->all_waiting.Signal();
+        while (!state->go) {
+          state->cv.Wait(state->mutex);
+        }
+        ++state->released;
+      }));
+    }
+    {
+      LockGuard<Mutex> guard(state->mutex);
+      while (state->waiting < kWaiters) {
+        state->all_waiting.Wait(state->mutex);
+      }
+      state->go = true;
+    }
+    state->cv.Broadcast();
+    for (ThreadHandle& thread : threads) {
+      env.Join(thread);
+    }
+    WriteDigest(env, static_cast<uint64_t>(state->released));
+  });
+}
+
+// Four contenders hand one mutex back and forth, half of their acquisitions
+// through a TryLock that falls back to Lock.
+TEST(SleeperCountedWordsTest, MutexHandoffWithTryLock) {
+  ExpectSameDigestNativeAndMvee("MutexHandoffWithTryLock", [](VariantEnv& env) {
+    constexpr int kRounds = 300;
+    struct State {
+      Mutex mutex;
+      uint64_t counter = 0;
+      uint64_t sum = 0;
+    };
+    auto state = std::make_shared<State>();
+    std::vector<ThreadHandle> threads;
+    for (uint64_t t = 0; t < 4; ++t) {
+      threads.push_back(env.Spawn([state, t](VariantEnv&) {
+        for (int i = 0; i < kRounds; ++i) {
+          if (i % 2 != 0 || !state->mutex.TryLock()) {
+            state->mutex.Lock();
+          }
+          ++state->counter;
+          state->sum += t + 1;
+          state->mutex.Unlock();
+        }
+      }));
+    }
+    for (ThreadHandle& thread : threads) {
+      env.Join(thread);
+    }
+    WriteDigest(env, state->counter * 1000003 + state->sum);
+  });
 }
 
 TEST(PerVariableTableTest, ConcurrentInsertsAgreeOnMapping) {

@@ -227,9 +227,13 @@ TEST(SignalTest, DeliveryIsDeterministicAcrossManyVariants) {
       state->done.Store(1);
     });
 
+    // Spin until the worker is done (its Kill comes first), then until the
+    // handler ran. The cap bounds only the wait for a delivery that never
+    // comes, not the worker's progress, which a loaded host can delay
+    // arbitrarily.
     int spins = 0;
     bool handled = false;
-    while ((!handled || state->done.Load() == 0) && spins++ < 500) {
+    while (state->done.Load() == 0 || (!handled && spins++ < 500)) {
       env.Gettid();
       LockGuard<Mutex> guard(state->lock);
       for (int32_t entry : state->log) {

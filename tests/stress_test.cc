@@ -1,12 +1,14 @@
 // Randomized end-to-end stress: seeded random multithreaded programs (random
-// lock graphs, mixed primitive types, interleaved file I/O and plain
-// syscalls) run under the full MVEE for every agent kind and variant count.
+// lock graphs, mixed primitive types, a condvar-guarded bounded buffer,
+// interleaved file I/O and plain syscalls) run under the full MVEE for every
+// agent kind and variant count.
 // The MVEE must (a) report no divergence, (b) produce a shared-state digest
 // equal to a native run's, and (c) balance recorded vs replayed sync ops.
 // This is the §5.1 correctness claim exercised on programs nobody hand-wrote.
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +31,7 @@ struct FuzzSpec {
   double io_probability = 0.05;
   double syscall_probability = 0.1;
   double semaphore_probability = 0.1;
+  double buffer_probability = 0.1;
 };
 
 // Builds a random-but-deterministic variant program from `spec`. All cross-
@@ -43,11 +46,19 @@ Program MakeFuzzProgram(const FuzzSpec& spec) {
       std::vector<SpinLock> spinlocks;
       InstrumentedAtomic<int32_t> tickets;
       Semaphore sem;
+      // Capacity-2 buffer: a thread puts a stamp, then takes one (maybe
+      // another thread's) in a second critical section. A thread between
+      // its put and its take holds no lock, so the buffer cannot deadlock.
+      Mutex buffer_mutex;
+      CondVar not_empty;
+      CondVar not_full;
+      std::deque<int32_t> buffer;
       // One history per lock: the digest input. Guarded by that lock.
       std::vector<std::vector<int32_t>> histories;
     };
     auto shared = std::make_shared<Shared>(spec);
-    shared->histories.resize(spec.mutexes + spec.spinlocks);
+    // The extra history is the buffer's take order, guarded by buffer_mutex.
+    shared->histories.resize(spec.mutexes + spec.spinlocks + 1);
 
     std::vector<ThreadHandle> workers;
     for (uint32_t t = 0; t < spec.threads; ++t) {
@@ -69,6 +80,23 @@ Program MakeFuzzProgram(const FuzzSpec& spec) {
             shared->sem.Acquire();
             shared->tickets.FetchAdd(1);
             shared->sem.Release();
+          }
+          if (rng.NextBool(spec.buffer_probability)) {
+            {
+              LockGuard<Mutex> guard(shared->buffer_mutex);
+              while (shared->buffer.size() >= 2) {
+                shared->not_full.Wait(shared->buffer_mutex);
+              }
+              shared->buffer.push_back(stamp);
+              shared->not_empty.Signal();
+            }
+            LockGuard<Mutex> guard(shared->buffer_mutex);
+            while (shared->buffer.empty()) {
+              shared->not_empty.Wait(shared->buffer_mutex);
+            }
+            shared->histories.back().push_back(shared->buffer.front());
+            shared->buffer.pop_front();
+            shared->not_full.Signal();
           }
           if (rng.NextBool(spec.syscall_probability)) {
             wenv.Gettid();
