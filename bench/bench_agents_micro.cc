@@ -19,7 +19,11 @@ namespace {
 
 // --- Agent record path (master side, single thread, no consumers) ---
 
-void BM_AgentRecord(benchmark::State& state, AgentKind kind) {
+// `bound` binds the variable first, so an adaptive fleet (the default) routes
+// its ops through the map's migration gate; unbound ops take the ungated
+// default route. Under MVEE_ADAPTIVE_AGENTS=0 binding is a no-op and both
+// cases measure the single-agent fleet.
+void AgentRecordLoop(benchmark::State& state, AgentKind kind, bool bound) {
   AgentConfig config;
   config.num_variants = 1;  // Recording only.
   config.max_threads = 1;
@@ -29,6 +33,9 @@ void BM_AgentRecord(benchmark::State& state, AgentKind kind) {
   AgentFleet fleet(kind, config, control);
   auto agent = fleet.CreateAgent(0);
   int sync_var = 0;
+  if (bound) {
+    agent->BindVariable("sync_var", &sync_var);
+  }
   for (auto _ : state) {
     agent->BeforeSyncOp(0, &sync_var);
     benchmark::DoNotOptimize(sync_var);
@@ -36,11 +43,23 @@ void BM_AgentRecord(benchmark::State& state, AgentKind kind) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_AgentRecord(benchmark::State& state, AgentKind kind) {
+  AgentRecordLoop(state, kind, /*bound=*/false);
+}
 BENCHMARK_CAPTURE(BM_AgentRecord, null, AgentKind::kNull);
 BENCHMARK_CAPTURE(BM_AgentRecord, total_order, AgentKind::kTotalOrder);
 BENCHMARK_CAPTURE(BM_AgentRecord, partial_order, AgentKind::kPartialOrder);
 BENCHMARK_CAPTURE(BM_AgentRecord, wall_of_clocks, AgentKind::kWallOfClocks);
 BENCHMARK_CAPTURE(BM_AgentRecord, per_variable_order, AgentKind::kPerVariableOrder);
+
+void BM_AgentRecordBound(benchmark::State& state, AgentKind kind) {
+  AgentRecordLoop(state, kind, /*bound=*/true);
+}
+BENCHMARK_CAPTURE(BM_AgentRecordBound, total_order, AgentKind::kTotalOrder);
+BENCHMARK_CAPTURE(BM_AgentRecordBound, partial_order, AgentKind::kPartialOrder);
+BENCHMARK_CAPTURE(BM_AgentRecordBound, wall_of_clocks, AgentKind::kWallOfClocks);
+BENCHMARK_CAPTURE(BM_AgentRecordBound, per_variable_order, AgentKind::kPerVariableOrder);
 
 // --- Record + concurrent replay (one slave) ---
 

@@ -19,66 +19,47 @@ class NullAgentShim final : public SyncAgent {
 
 }  // namespace
 
-// The adaptive per-variant handle: resolves the op's route entry, passes the
-// master/slave migration gate, and forwards to the routed runtime's own
-// agent for this variant. A kNull route skips the forward entirely — the
-// honest win for statically-proven thread-local variables — but still runs
-// the gates, so the per-thread op counters stay exact and a later migration
-// off kNull remains sound (the new agent starts from a drained, counted
-// state; there is no recorded backlog to replay because kNull records
-// nothing and slaves never waited on it).
+// The adaptive per-variant handle. An op on an unbound address (Find misses)
+// rides the default route, which is migration-frozen: it goes straight to the
+// fleet kind's runtime agent, with no gate, no scratch write and no check of
+// its own (the runtime agent makes its own abort and tid checks). A bound op
+// resolves its route entry, passes the master/slave migration gate, and
+// forwards to the routed runtime's own agent for this variant. A kNull route
+// skips the forward entirely — the honest win for statically-proven
+// thread-local variables — but still runs the gates, so the per-thread op
+// counters stay exact for the controller.
+//
+// Before and After agree on the path by re-running Find: bindings are
+// append-only and made before the variable's first sync op (the BindVariable
+// contract), so both lookups of one op return the same answer. Only the
+// bound path keeps Before→After scratch: the entry and the kind the gate
+// admitted.
 class DispatchAgent final : public SyncAgent {
  public:
   DispatchAgent(AgentFleet* fleet, uint32_t variant)
       : fleet_(fleet),
+        map_(fleet->map_.get()),
         variant_(variant),
         role_(variant == 0 ? AgentRole::kMaster : AgentRole::kSlave),
+        default_agent_(fleet->SubAgent(variant, fleet->kind_)),
         pending_(fleet->config_.max_threads) {}
 
+  // Nothing bound anywhere (the common single-agent-equivalent case): one
+  // load and a tail call, without even the probe.
   void BeforeSyncOp(uint32_t tid, const void* addr) override {
-    if (fleet_->control_.aborted() && AlreadyUnwinding()) {
-      return;  // Teardown: no second throw from destructor-driven sync ops.
+    if (map_->EntryCount() != 0) {
+      RoutedBefore(tid, addr);
+      return;
     }
-    CheckTidBound(tid, fleet_->config_.max_threads, fleet_->control_, name());
-    VariableAgentMap* map = fleet_->map_.get();
-    VariableAgentMap::Entry* entry = map->Find(variant_, addr);
-    const AgentKind kind = role_ == AgentRole::kMaster
-                               ? map->MasterEnter(entry, tid)
-                               : map->SlaveEnter(entry, variant_, tid);
-    pending_[tid] = Pending{entry, kind};
-    if (SyncAgent* sub = fleet_->SubAgent(variant_, kind)) {
-      try {
-        sub->BeforeSyncOp(tid, addr);
-      } catch (...) {
-        if (role_ == AgentRole::kMaster) {
-          map->MasterCancel(entry, tid);
-        }
-        throw;
-      }
-    }
+    default_agent_->BeforeSyncOp(tid, addr);
   }
 
   void AfterSyncOp(uint32_t tid, const void* addr) override {
-    if (fleet_->control_.aborted() && AlreadyUnwinding()) {
+    if (map_->EntryCount() != 0) {
+      RoutedAfter(tid, addr);
       return;
     }
-    VariableAgentMap* map = fleet_->map_.get();
-    const Pending pending = pending_[tid];
-    if (SyncAgent* sub = fleet_->SubAgent(variant_, pending.kind)) {
-      try {
-        sub->AfterSyncOp(tid, addr);
-      } catch (...) {
-        if (role_ == AgentRole::kMaster) {
-          map->MasterCancel(pending.entry, tid);
-        }
-        throw;
-      }
-    }
-    if (role_ == AgentRole::kMaster) {
-      map->MasterExit(pending.entry, tid);
-    } else {
-      map->SlaveExit(pending.entry, variant_, tid);
-    }
+    default_agent_->AfterSyncOp(tid, addr);
   }
 
   void BindVariable(const char* name, const void* addr) override {
@@ -89,14 +70,71 @@ class DispatchAgent final : public SyncAgent {
   const char* name() const override { return "adaptive-dispatch"; }
 
  private:
+  // Out of line, so the nothing-bound path above saves no registers.
+  [[gnu::noinline]] void RoutedBefore(uint32_t tid, const void* addr) {
+    VariableAgentMap::Entry* entry = map_->Find(variant_, addr);
+    if (entry == nullptr) {
+      default_agent_->BeforeSyncOp(tid, addr);
+      return;
+    }
+    if (fleet_->control_.aborted() && AlreadyUnwinding()) {
+      return;  // Teardown: no second throw from destructor-driven sync ops.
+    }
+    CheckTidBound(tid, fleet_->config_.max_threads, fleet_->control_, name());
+    const AgentKind kind = role_ == AgentRole::kMaster
+                               ? map_->MasterEnter(entry, tid)
+                               : map_->SlaveEnter(entry, variant_, tid);
+    pending_[tid] = Pending{entry, kind};
+    if (SyncAgent* sub = fleet_->SubAgent(variant_, kind)) {
+      try {
+        sub->BeforeSyncOp(tid, addr);
+      } catch (...) {
+        if (role_ == AgentRole::kMaster) {
+          map_->MasterCancel(entry, tid);
+        }
+        throw;
+      }
+    }
+  }
+
+  [[gnu::noinline]] void RoutedAfter(uint32_t tid, const void* addr) {
+    if (map_->Find(variant_, addr) == nullptr) {
+      default_agent_->AfterSyncOp(tid, addr);
+      return;
+    }
+    if (fleet_->control_.aborted() && AlreadyUnwinding()) {
+      return;
+    }
+    const Pending pending = pending_[tid];
+    if (SyncAgent* sub = fleet_->SubAgent(variant_, pending.kind)) {
+      try {
+        sub->AfterSyncOp(tid, addr);
+      } catch (...) {
+        if (role_ == AgentRole::kMaster) {
+          map_->MasterCancel(pending.entry, tid);
+        }
+        throw;
+      }
+    }
+    if (role_ == AgentRole::kMaster) {
+      map_->MasterExit(pending.entry, tid);
+    } else {
+      map_->SlaveExit(pending.entry, variant_, tid);
+    }
+  }
+
   struct Pending {
     VariableAgentMap::Entry* entry = nullptr;
     AgentKind kind = AgentKind::kNull;
   };
 
   AgentFleet* const fleet_;
+  VariableAgentMap* const map_;
   const uint32_t variant_;
   const AgentRole role_;
+  // The fleet kind's runtime agent for this variant: every unbound op's
+  // destination.
+  SyncAgent* const default_agent_;
   PerThreadScratch<Pending> pending_;
 };
 
@@ -112,7 +150,7 @@ AgentFleet::AgentFleet(AgentKind kind, const AgentConfig& config, AgentControl c
     partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
     wall_of_clocks_ = std::make_unique<WallOfClocksRuntime>(config_, control_);
     per_variable_ = std::make_unique<PerVariableRuntime>(config_, control_);
-    map_ = std::make_unique<VariableAgentMap>(config_, kind_, control_);
+    map_ = std::make_unique<VariableAgentMap>(config_, control_);
     sub_agents_.resize(config_.num_variants);
     if (plan != nullptr) {
       for (const AgentAssignment& assignment : plan->assignments) {
@@ -224,12 +262,9 @@ void AgentFleet::BindVariable(uint32_t variant, const char* name, const void* ad
 }
 
 AgentKind AgentFleet::RouteOf(const std::string& name) const {
-  if (map_ == nullptr) {
-    return kind_;
-  }
-  VariableAgentMap::Entry* entry =
-      name.empty() ? const_cast<VariableAgentMap*>(map_.get())->DefaultEntry()
-                   : map_->FindByName(name);
+  // "" (the default route) has no entry: FindByName misses, as it does for
+  // a name that was never registered.
+  VariableAgentMap::Entry* entry = map_ ? map_->FindByName(name) : nullptr;
   if (entry == nullptr) {
     return kind_;
   }
@@ -237,15 +272,9 @@ AgentKind AgentFleet::RouteOf(const std::string& name) const {
 }
 
 bool AgentFleet::ForceMigrate(const std::string& name, AgentKind to) {
-  if (map_ == nullptr) {
-    return false;
-  }
-  VariableAgentMap::Entry* entry =
-      name.empty() ? map_->DefaultEntry() : map_->FindByName(name);
-  if (entry == nullptr) {
-    return false;
-  }
-  return map_->Migrate(entry, to);
+  // Migrate refuses the nullptr of an unknown name or of "" (the default
+  // route is migration-frozen).
+  return map_ != nullptr && map_->Migrate(map_->FindByName(name), to);
 }
 
 uint64_t AgentFleet::MigrationsCompleted() const {

@@ -14,8 +14,10 @@
 //    AgentAssignmentPlan (the analysis layer's verdicts), re-pointed at
 //    runtime by a sampling controller thread (promotion on contention,
 //    demotion on confinement) or explicitly via ForceMigrate. Unbound
-//    variables ride the default route (= `kind`), so a program that binds
-//    nothing behaves like the single-agent fleet modulo the dispatch gate.
+//    variables ride the default route (= `kind`), which is migration-frozen:
+//    their ops go straight to that runtime's agent with no gate, so a
+//    program that binds nothing pays one dispatch call and one load per op
+//    over the single-agent fleet.
 
 #ifndef MVEE_AGENTS_AGENT_FLEET_H_
 #define MVEE_AGENTS_AGENT_FLEET_H_
@@ -65,19 +67,19 @@ class AgentFleet {
 
   // ---- Adaptive API (inert when !adaptive()) ----
 
-  // Current route of `name`; the default route's kind for "" or names that
-  // were never registered.
+  // Current route of `name`; the fleet's kind for "" (the default route
+  // shared by all unbound variables) or names that were never registered.
   AgentKind RouteOf(const std::string& name) const;
 
-  // Moves `name`'s route ("" = the default route shared by all unbound
-  // variables) to `to` through the epoch handshake. Returns true iff the
-  // flip completed (false: unknown name, already there, timeout-abort, or
-  // non-adaptive fleet).
+  // Moves `name`'s route to `to` through the epoch handshake. Returns true
+  // iff the flip completed (false: "" or an unknown name, already there, a
+  // kNull endpoint, timeout-abort, or non-adaptive fleet). "" names the
+  // default route, which is migration-frozen.
   bool ForceMigrate(const std::string& name, AgentKind to);
 
   uint64_t MigrationsCompleted() const;
   uint64_t MigrationsAborted() const;
-  // Distinct variables with their own (non-default) route entry.
+  // Distinct variables with their own route entry.
   uint64_t BoundVariables() const;
 
   // Exposed for the no-allocation/lazy-rings tests.

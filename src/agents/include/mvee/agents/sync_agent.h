@@ -108,10 +108,11 @@ struct AgentConfig {
   // variable (SyncAgent::BindVariable) to its assigned runtime through the
   // VariableAgentMap, and migrates routes at runtime quiesce points.
   // Unregistered variables ride the default route (the fleet's configured
-  // AgentKind), so a program that never binds anything behaves exactly like
-  // the single-agent baseline modulo the dispatch gate. Off restores the
+  // AgentKind), which is migration-frozen and ungated: a program that never
+  // binds anything records and replays exactly like the single-agent
+  // baseline, plus one dispatch call and one load per op. Off restores the
   // seed's one-runtime fleet; MVEE_ADAPTIVE_AGENTS=0 flips the default for
-  // whole-suite baseline sweeps (PR 2-7 pattern).
+  // whole-suite baseline sweeps.
   bool adaptive_agents = DefaultAdaptiveAgents();
   // Sample interval of the route controller that promotes/demotes bound
   // variables from their observed contention. 0 disables the controller;

@@ -4,19 +4,21 @@
 // The paper's Table 1 result is that WHICH replication agent handles a sync
 // variable decides its overhead. The adaptive fleet therefore keeps every
 // agent runtime alive and routes each *registered* variable to its own
-// route entry; unregistered variables share one default entry carrying the
-// fleet's configured kind. Lookup on the BeforeSyncOp hot path is a
-// lock-free, allocation-free open-addressing probe into a per-variant
-// address table; all mutation (registration, binding, migration) happens off
-// the hot path under mutexes.
+// route entry. Unregistered variables have no entry at all: they ride the
+// default route, the fleet's configured kind, which is migration-frozen, so
+// the dispatch agent sends them straight to that runtime with no gate.
+// Lookup on the BeforeSyncOp hot path is a lock-free, allocation-free
+// open-addressing probe into a per-variant address table; all mutation
+// (registration, binding, migration) happens off the hot path under
+// mutexes.
 //
 // Identity across variants: variants allocate their own program state, so
 // the same logical variable has a different address in every variant. The
 // map is therefore keyed per variant — the program binds each routed
 // variable by NAME in every variant (BindVariable), and the shared route
 // entry hangs off the name. An address that was never bound probes to an
-// empty slot and falls through to the default entry, which is what makes the
-// dispatch correct for unbound variables and programs that bind nothing.
+// empty slot and Find returns nullptr: the default route, which is what makes
+// the dispatch correct for unbound variables and programs that bind nothing.
 //
 // Migration handshake (the §11 epoch protocol). Every entry carries:
 //   route      — one atomic word packing [kind | state | epoch],
@@ -40,9 +42,11 @@
 // parked inside the OLD runtime would then wait for a record that lands in
 // the NEW runtime (a permanent stall). Running ahead therefore parks in the
 // gate — which costs nothing, because every recording runtime's replay wait
-// would park it on the missing record anyway. The one exception is kNull
-// routes (no records to chase): they keep the zero-coordination fast path
-// and are migration-frozen in exchange (Migrate refuses kNull endpoints).
+// would park it on the missing record anyway. The exceptions are kNull
+// routes and the default route: neither runs the gate, and both are
+// migration-frozen in exchange (Migrate refuses kNull endpoints, and the
+// default route has no entry to migrate). A route that never flips cannot
+// strand an ordinal, so there is nothing for the gate to protect.
 //
 // Why per-(entry, tid) counters and not one shared op counter: concurrent
 // slave threads cannot learn their own op's master-order ordinal at the gate
@@ -56,7 +60,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -93,9 +96,8 @@ struct AgentAssignmentPlan {
 class VariableAgentMap {
  public:
   // Route entries are preallocated handles; this caps how many distinct
-  // variables a plan + runtime bindings may register (the default entry is
-  // extra). Registration past the cap fails closed: the variable simply
-  // keeps the default route.
+  // variables a plan + runtime bindings may register. Registration past the
+  // cap fails closed: the variable simply keeps the default route.
   static constexpr size_t kMaxEntries = 256;
 
   enum class RouteState : uint8_t {
@@ -153,19 +155,17 @@ class VariableAgentMap {
   }
   static uint64_t RouteEpoch(uint64_t word) { return word >> 5; }
 
-  // `config` must already be validated; `default_kind` is the route of every
-  // unbound variable.
-  VariableAgentMap(const AgentConfig& config, AgentKind default_kind, AgentControl control);
+  // `config` must already be validated.
+  VariableAgentMap(const AgentConfig& config, AgentControl control);
   ~VariableAgentMap();
 
   VariableAgentMap(const VariableAgentMap&) = delete;
   VariableAgentMap& operator=(const VariableAgentMap&) = delete;
 
-  Entry* DefaultEntry() { return default_entry_.get(); }
-
   // Registration (off the hot path, under a mutex): returns the entry for
   // `name`, creating it with `kind` if new. nullptr if kMaxEntries is
-  // exhausted (the variable then rides the default route).
+  // exhausted or `name` is empty ("" names the default route); the variable
+  // then rides the default route.
   Entry* EntryFor(const std::string& name, AgentKind kind);
   // nullptr if `name` was never registered.
   Entry* FindByName(const std::string& name) const;
@@ -175,8 +175,10 @@ class VariableAgentMap {
   // entry; a failed bind leaves the address on the default route.
   bool Bind(uint32_t variant, const void* addr, Entry* entry);
 
-  // HOT PATH: resolves an address to its route entry; the default entry on
-  // any miss. Lock-free, allocation-free, read-only.
+  // HOT PATH: resolves an address to its route entry; nullptr (the default
+  // route) on any miss. Lock-free, allocation-free, read-only. Bindings are
+  // append-only and made before the variable's first sync op, so every Find
+  // of one address during one op returns the same answer.
   Entry* Find(uint32_t variant, const void* addr) const;
 
   // Master gate: publishes the inflight flag, loads the route (both seq_cst
@@ -204,15 +206,16 @@ class VariableAgentMap {
 
   // Runs the migration handshake to move `entry` to `to`. Serialized
   // internally (one migration at a time); returns false if the route already
-  // is `to`, if either endpoint is kNull (null routes are migration-frozen —
-  // see the header comment), or on abort/timeout (the old route is restored
-  // — safe, nothing was recorded under the new kind before the flip).
+  // is `to`, if `entry` is nullptr (the default route) or either endpoint is
+  // kNull (both are migration-frozen — see the header comment), or on
+  // abort/timeout (the old route is restored — safe, nothing was recorded
+  // under the new kind before the flip).
   bool Migrate(Entry* entry, AgentKind to);
 
   // Excision: drains stop waiting for `variant`'s replay counters.
   void DetachVariant(uint32_t variant);
 
-  // Registered (non-default) entries, for the controller's policy sweep.
+  // Registered entries, for the controller's policy sweep.
   // Entries are append-only and published with release stores, so the
   // controller iterates lock-free.
   size_t EntryCount() const { return entry_count_.load(std::memory_order_acquire); }
@@ -238,7 +241,6 @@ class VariableAgentMap {
 
   const AgentConfig config_;
   const AgentControl control_;
-  std::unique_ptr<Entry> default_entry_;
   mutable std::mutex register_mutex_;
   std::atomic<Entry*> entries_[kMaxEntries] = {};
   std::atomic<size_t> entry_count_{0};

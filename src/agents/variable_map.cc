@@ -35,11 +35,8 @@ VariableAgentMap::Entry::Entry(std::string entry_name, AgentKind kind,
   }
 }
 
-VariableAgentMap::VariableAgentMap(const AgentConfig& config, AgentKind default_kind,
-                                   AgentControl control)
-    : config_(ValidatedAgentConfig(config)),
-      control_(std::move(control)),
-      default_entry_(std::make_unique<Entry>("", default_kind, config_)) {
+VariableAgentMap::VariableAgentMap(const AgentConfig& config, AgentControl control)
+    : config_(ValidatedAgentConfig(config)), control_(std::move(control)) {
   size_t capacity = 2;
   while (capacity < kMaxEntries * kTableSlotsPerEntry) {
     capacity <<= 1;
@@ -61,6 +58,9 @@ VariableAgentMap::~VariableAgentMap() {
 
 VariableAgentMap::Entry* VariableAgentMap::EntryFor(const std::string& name,
                                                     AgentKind kind) {
+  if (name.empty()) {
+    return nullptr;  // "" names the default route, which has no entry.
+  }
   std::lock_guard<std::mutex> lock(register_mutex_);
   const size_t count = entry_count_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < count; ++i) {
@@ -130,11 +130,8 @@ bool VariableAgentMap::Bind(uint32_t variant, const void* addr, Entry* entry) {
 VariableAgentMap::Entry* VariableAgentMap::Find(uint32_t variant, const void* addr) const {
   // Nothing bound anywhere (the common single-agent-equivalent case): skip
   // the probe entirely.
-  if (entry_count_.load(std::memory_order_acquire) == 0) {
-    return default_entry_.get();
-  }
-  if (variant >= tables_.size()) {
-    return default_entry_.get();
+  if (entry_count_.load(std::memory_order_acquire) == 0 || variant >= tables_.size()) {
+    return nullptr;
   }
   const uint64_t key = BucketKey(addr);
   const Table& table = tables_[variant];
@@ -145,11 +142,11 @@ VariableAgentMap::Entry* VariableAgentMap::Find(uint32_t variant, const void* ad
       return table.values[index].load(std::memory_order_relaxed);
     }
     if (current == 0) {
-      return default_entry_.get();
+      return nullptr;
     }
     index = (index + 1) & table_mask_;
   }
-  return default_entry_.get();
+  return nullptr;
 }
 
 AgentKind VariableAgentMap::MasterEnter(Entry* entry, uint32_t tid) {
@@ -269,6 +266,11 @@ bool VariableAgentMap::AbortMigration(Entry* entry, AgentKind from, uint64_t epo
 }
 
 bool VariableAgentMap::Migrate(Entry* entry, AgentKind to) {
+  // The default route (nullptr) is migration-frozen: unbound ops skip the
+  // gates, so there are no counts to quiesce or drain against.
+  if (entry == nullptr) {
+    return false;
+  }
   // One migration at a time, map-wide. Serialization keeps the epoch
   // protocol's induction simple (docs/DESIGN.md §11) and migration is a
   // rare, controller-paced event.

@@ -276,6 +276,71 @@ TEST(AdaptiveFleetTest, NullRouteSkipsRecordingButCountsOps) {
   EXPECT_EQ(entry->replayed[0][0].value.load(), 100u);
 }
 
+// The default route has no entry and cannot move: unbound ops skip the
+// migration gates, so a flip could strand their ordinals.
+TEST(AdaptiveFleetTest, DefaultRouteIsMigrationFrozen) {
+  std::atomic<bool> abort{false};
+  AgentControl control;
+  control.abort_flag = &abort;
+  AgentFleet fleet(AgentKind::kWallOfClocks, AdaptiveConfig(2, 1), control);
+  auto master = fleet.CreateAgent(0);
+  int var = 0;
+  master->BindVariable("", &var);  // "" cannot become an entry either.
+  EXPECT_EQ(fleet.BoundVariables(), 0u);
+  EXPECT_EQ(fleet.RouteOf(""), AgentKind::kWallOfClocks);
+  EXPECT_FALSE(fleet.ForceMigrate("", AgentKind::kTotalOrder));
+  EXPECT_EQ(fleet.RouteOf(""), AgentKind::kWallOfClocks);
+  EXPECT_EQ(fleet.MigrationsCompleted(), 0u);
+  EXPECT_EQ(fleet.MigrationsAborted(), 0u);
+}
+
+// Unbound ops go straight to the default runtime: a registered entry that no
+// op touches keeps every gate counter at zero, while the default runtime
+// records and replays every op.
+TEST(AdaptiveFleetTest, UnboundOpsBypassTheGates) {
+  constexpr uint32_t kThreads = 2;
+  constexpr int kOps = 5000;
+  AgentAssignmentPlan plan;
+  plan.assignments.push_back({"idle", AgentKind::kTotalOrder, "seeded"});
+  std::atomic<bool> abort{false};
+  AgentControl control;
+  control.abort_flag = &abort;
+  AgentFleet fleet(AgentKind::kWallOfClocks, AdaptiveConfig(2, kThreads), control, &plan);
+  std::vector<std::unique_ptr<SyncAgent>> agents;
+  int64_t idle_vars[2] = {0, 0};
+  for (uint32_t v = 0; v < 2; ++v) {
+    agents.push_back(fleet.CreateAgent(v));
+    agents[v]->BindVariable("idle", &idle_vars[v]);
+  }
+
+  int64_t vars[2][kThreads] = {};
+  std::vector<std::thread> workers;
+  for (uint32_t v = 0; v < 2; ++v) {
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, v, t] {
+        for (int i = 0; i < kOps; ++i) {
+          agents[v]->BeforeSyncOp(t, &vars[v][t]);
+          agents[v]->AfterSyncOp(t, &vars[v][t]);
+        }
+      });
+    }
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+
+  const VariableAgentMap::Entry* entry = fleet.map()->FindByName("idle");
+  ASSERT_NE(entry, nullptr);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(entry->inflight[t].value.load(), 0u) << "tid " << t;
+    EXPECT_EQ(entry->recorded[t].value.load(), 0u) << "tid " << t;
+    EXPECT_EQ(entry->replayed[0][t].value.load(), 0u) << "tid " << t;
+  }
+  const AgentStatsSnapshot stats = fleet.StatsSnapshot();
+  EXPECT_EQ(stats.ops_recorded, uint64_t{kOps} * kThreads);
+  EXPECT_EQ(stats.ops_replayed, uint64_t{kOps} * kThreads);
+}
+
 // --- Migration under load ---------------------------------------------------
 
 struct MigrationRunResult {
@@ -373,12 +438,14 @@ TEST(AdaptiveMigrationTest, ForcedPromotionUnderLoadKeepsVariantsEquivalent) {
   EXPECT_EQ(baseline.logs[0], baseline.logs[1]);
 }
 
-// The fluidanimate shape on the default route: three variants x two threads
-// update random cell pairs of a grid of UNBOUND per-cell spinlocks, while the
-// main thread keeps migrating the default route through every recording
-// kind. Each publish invalidates every slave's admission snapshot mid-run;
-// the per-cell acquisition logs (the variant output) must stay identical.
-TEST(AdaptiveMigrationTest, DefaultRouteMigrationsUnderGridKeepThreeVariantsEquivalent) {
+// The fluidanimate shape under migration: three variants x two threads
+// update random cell pairs of a grid of per-cell spinlocks. Half the cells
+// are bound to one entry "grid", whose route the main thread keeps migrating
+// through every recording kind; the other half stay unbound and share the
+// wall-of-clocks runtime with it through the ungated default route. Each
+// publish invalidates every slave's admission snapshot mid-run; the per-cell
+// acquisition logs (the variant output) must stay identical.
+TEST(AdaptiveMigrationTest, BoundRouteMigrationsUnderGridKeepThreeVariantsEquivalent) {
   constexpr uint32_t kVariants = 3;
   constexpr uint32_t kThreads = 2;
   constexpr size_t kCells = 64;
@@ -388,6 +455,9 @@ TEST(AdaptiveMigrationTest, DefaultRouteMigrationsUnderGridKeepThreeVariantsEqui
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
+  // As in the monitor, a replay stall aborts the run, so a master blocked on
+  // a full ring unwinds too and a stall fails the test instead of hanging it.
+  control.on_stall = [&abort](const std::string&) { abort.store(true); };
   AgentFleet fleet(AgentKind::kWallOfClocks, config, control);
 
   struct Grid {
@@ -399,7 +469,14 @@ TEST(AdaptiveMigrationTest, DefaultRouteMigrationsUnderGridKeepThreeVariantsEqui
   for (uint32_t v = 0; v < kVariants; ++v) {
     agents.push_back(fleet.CreateAgent(v));
     grids.push_back(std::make_unique<Grid>());
+    // Every variant binds the even cells before any thread starts.
+    SyncContext context{agents[v].get(), nullptr, 0};
+    ScopedSyncContext scoped(&context);
+    for (size_t cell = 0; cell < kCells; cell += 2) {
+      grids[v]->locks[cell].Bind("grid");
+    }
   }
+  ASSERT_EQ(fleet.BoundVariables(), 1u);
   std::atomic<bool> killed{false};
   std::atomic<uint32_t> running{kVariants * kThreads};
   std::vector<std::thread> workers;
@@ -435,7 +512,7 @@ TEST(AdaptiveMigrationTest, DefaultRouteMigrationsUnderGridKeepThreeVariantsEqui
                              AgentKind::kPerVariableOrder, AgentKind::kWallOfClocks};
   uint64_t attempts = 0;
   while (running.load() != 0) {
-    fleet.ForceMigrate("", kinds[attempts++ % 4]);
+    fleet.ForceMigrate("grid", kinds[attempts++ % 4]);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (auto& worker : workers) {
@@ -446,6 +523,20 @@ TEST(AdaptiveMigrationTest, DefaultRouteMigrationsUnderGridKeepThreeVariantsEqui
   EXPECT_GE(fleet.MigrationsCompleted(), 4u);
   for (uint32_t v = 1; v < kVariants; ++v) {
     EXPECT_EQ(grids[v]->logs, grids[0]->logs) << "variant " << v;
+  }
+  // The bound cells' ops went through the gates: every slave replayed
+  // exactly the ops the master counted on the entry. Each iteration locks
+  // and unlocks two cells, about half of them bound, so a thread makes
+  // about 2 * kOps bound sync ops; kOps / 2 is a loose floor.
+  const VariableAgentMap::Entry* entry = fleet.map()->FindByName("grid");
+  ASSERT_NE(entry, nullptr);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    const uint64_t recorded = entry->recorded[t].value.load();
+    EXPECT_GE(recorded, kOps / 2u) << "tid " << t;
+    for (uint32_t v = 1; v < kVariants; ++v) {
+      EXPECT_EQ(entry->replayed[v - 1][t].value.load(), recorded)
+          << "variant " << v << " tid " << t;
+    }
   }
 }
 
@@ -460,8 +551,9 @@ TEST(AdmissionSnapshotTest, SnapshotTakenUnderAnEpochIsNotUsedAfterAPublish) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  VariableAgentMap map(config, AgentKind::kWallOfClocks, control);
-  VariableAgentMap::Entry* entry = map.DefaultEntry();
+  VariableAgentMap map(config, control);
+  VariableAgentMap::Entry* entry = map.EntryFor("v", AgentKind::kWallOfClocks);
+  ASSERT_NE(entry, nullptr);
   VariableAgentMap::ReplayLine& line = entry->replayed[0][0];
 
   for (int i = 0; i < 2; ++i) {
