@@ -1,26 +1,20 @@
-// Ordered-syscall throughput: sharded ordering domains vs the global clock.
+// Ordered-syscall throughput over per-resource ordering domains.
 //
 // The workload is the §5.5 nginx-style shape reduced to its ordering
 // bottleneck: T variant threads, each owning one descriptor, each issuing a
 // storm of descriptor-scoped ordered calls (lseek) — the per-fd traffic a
-// multi-threaded server generates between accepts. Under the global clock
-// every one of those calls (a) serializes the master threads through one
-// critical section and (b) forces each slave variant to replay the calls of
-// ALL threads in one total order, with a spin-wait handoff per call. Under
-// sharded ordering (MveeOptions::sharded_order_domains) each descriptor is
-// its own domain, so both effects disappear and only true conflicts
-// serialize (docs/syscall_ordering.md).
+// multi-threaded server generates between accepts. Each descriptor is its
+// own ordering domain, so the master threads do not serialize through one
+// critical section and each slave replays only its own descriptor's calls;
+// only true conflicts serialize (docs/syscall_ordering.md).
 //
-// Both modes run in one binary on the same workload; results go to
-// BENCH_order.json. Knobs:
+// Results go to BENCH_order.json. Knobs:
 //   MVEE_BENCH_ORDER_THREADS   worker threads per variant   (default 8)
 //   MVEE_BENCH_ORDER_VARIANTS  variants                     (default 2)
 //   MVEE_BENCH_ORDER_ITERS     ordered calls per thread     (default 2000)
 //   MVEE_BENCH_ORDER_REPS      repetitions, best-of kept    (default 3)
-//   MVEE_BENCH_ORDER_MIN_SPEEDUP  exit nonzero below this   (default 0 = off)
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -32,7 +26,6 @@ using namespace mvee;
 using mvee::bench::EnvInt;
 
 struct OrderRun {
-  std::string mode;
   uint32_t variants = 0;
   uint32_t threads = 0;
   uint64_t ordered_calls = 0;
@@ -47,12 +40,11 @@ struct OrderRun {
 // T workers, each: open a private file, hammer it with ordered lseeks, close.
 // The opens/closes exercise the fd-namespace domain (and domain teardown);
 // the lseek storm is the per-fd steady state being measured.
-OrderRun RunOrdered(bool sharded, uint32_t variants, uint32_t threads, int64_t iters) {
+OrderRun RunOrdered(uint32_t variants, uint32_t threads, int64_t iters) {
   MveeOptions options;
   options.num_variants = variants;
   options.agent = AgentKind::kWallOfClocks;
   options.enable_aslr = false;
-  options.sharded_order_domains = sharded;
   options.rendezvous_timeout = std::chrono::milliseconds(60000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(60000);
 
@@ -76,7 +68,6 @@ OrderRun RunOrdered(bool sharded, uint32_t variants, uint32_t threads, int64_t i
 
   const MveeReport& report = mvee.report();
   OrderRun run;
-  run.mode = sharded ? "sharded" : "global";
   run.variants = variants;
   run.threads = threads;
   run.ordered_calls = report.syscalls.ordered;
@@ -89,31 +80,27 @@ OrderRun RunOrdered(bool sharded, uint32_t variants, uint32_t threads, int64_t i
   return run;
 }
 
-void WriteOrderJson(const std::vector<OrderRun>& runs, double speedup) {
+void WriteOrderJson(const OrderRun& run) {
   const std::string path = mvee::bench::ResolveBenchJsonPath("BENCH_order.json");
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return;
   }
-  std::fprintf(file, "{\n  \"order\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const OrderRun& run = runs[i];
-    std::fprintf(file,
-                 "    {\"mode\": \"%s\", \"variants\": %u, \"threads\": %u, "
-                 "\"ordered_calls\": %llu, \"seconds\": %.4f, \"ordered_per_sec\": %.1f, "
-                 "\"domains_created\": %llu, \"domains_retired\": %llu, "
-                 "\"domains_reclaimed\": %llu, \"ok\": %s}%s\n",
-                 run.mode.c_str(), run.variants, run.threads,
-                 static_cast<unsigned long long>(run.ordered_calls), run.seconds,
-                 run.ordered_per_sec, static_cast<unsigned long long>(run.domains_created),
-                 static_cast<unsigned long long>(run.domains_retired),
-                 static_cast<unsigned long long>(run.domains_reclaimed),
-                 run.ok ? "true" : "false", i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(file, "  ],\n  \"speedup_sharded_vs_global\": %.2f\n}\n", speedup);
+  std::fprintf(file,
+               "{\n  \"order\": [\n"
+               "    {\"mode\": \"sharded\", \"variants\": %u, \"threads\": %u, "
+               "\"ordered_calls\": %llu, \"seconds\": %.4f, \"ordered_per_sec\": %.1f, "
+               "\"domains_created\": %llu, \"domains_retired\": %llu, "
+               "\"domains_reclaimed\": %llu, \"ok\": %s}\n  ]\n}\n",
+               run.variants, run.threads, static_cast<unsigned long long>(run.ordered_calls),
+               run.seconds, run.ordered_per_sec,
+               static_cast<unsigned long long>(run.domains_created),
+               static_cast<unsigned long long>(run.domains_retired),
+               static_cast<unsigned long long>(run.domains_reclaimed),
+               run.ok ? "true" : "false");
   std::fclose(file);
-  std::printf("wrote %s (%zu runs)\n", path.c_str(), runs.size());
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -126,51 +113,37 @@ int main() {
   const int64_t iters = EnvInt("MVEE_BENCH_ORDER_ITERS", 2000);
   const int64_t reps = EnvInt("MVEE_BENCH_ORDER_REPS", 3);
 
-  PrintHeader("Ordered-syscall throughput: global clock vs sharded domains (" +
+  PrintHeader("Ordered-syscall throughput over per-resource domains (" +
               std::to_string(variants) + " variants, " + std::to_string(threads) +
               " threads, " + std::to_string(iters) + " lseeks/thread)");
 
-  std::vector<OrderRun> runs;
   // Warm-up pass (thread pools, allocator, file cache) kept out of the runs.
-  RunOrdered(/*sharded=*/true, variants, /*threads=*/2, /*iters=*/200);
+  RunOrdered(variants, /*threads=*/2, /*iters=*/200);
 
-  for (const bool sharded : {false, true}) {
-    // Best of `reps` runs: on small/oversubscribed hosts a single run is
-    // dominated by scheduler noise; the best run is the least-perturbed
-    // measurement of each mode's intrinsic cost.
-    OrderRun run;
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      OrderRun attempt = RunOrdered(sharded, variants, threads, iters);
-      if (!attempt.ok) {
-        run = attempt;
-        break;
-      }
-      if (rep == 0 || attempt.ordered_per_sec > run.ordered_per_sec) {
-        run = attempt;
-      }
+  // Best of `reps` runs: on small/oversubscribed hosts a single run is
+  // dominated by scheduler noise; the best run is the least-perturbed
+  // measurement of the intrinsic cost.
+  OrderRun run;
+  for (int64_t rep = 0; rep < reps; ++rep) {
+    OrderRun attempt = RunOrdered(variants, threads, iters);
+    if (!attempt.ok) {
+      run = attempt;
+      break;
     }
-    std::printf("  %-8s %8.3fs  %10.0f ordered/s  (%llu ordered calls%s, domains %llu/%llu/%llu)\n",
-                run.mode.c_str(), run.seconds, run.ordered_per_sec,
-                static_cast<unsigned long long>(run.ordered_calls), run.ok ? "" : ", FAILED RUN",
-                static_cast<unsigned long long>(run.domains_created),
-                static_cast<unsigned long long>(run.domains_retired),
-                static_cast<unsigned long long>(run.domains_reclaimed));
-    runs.push_back(run);
+    if (rep == 0 || attempt.ordered_per_sec > run.ordered_per_sec) {
+      run = attempt;
+    }
   }
+  std::printf("  %8.3fs  %10.0f ordered/s  (%llu ordered calls%s, domains %llu/%llu/%llu)\n",
+              run.seconds, run.ordered_per_sec,
+              static_cast<unsigned long long>(run.ordered_calls), run.ok ? "" : ", FAILED RUN",
+              static_cast<unsigned long long>(run.domains_created),
+              static_cast<unsigned long long>(run.domains_retired),
+              static_cast<unsigned long long>(run.domains_reclaimed));
+  WriteOrderJson(run);
 
-  const double speedup =
-      runs[0].ordered_per_sec > 0 ? runs[1].ordered_per_sec / runs[0].ordered_per_sec : 0;
-  std::printf("\n  sharded vs global speedup: %.2fx\n", speedup);
-  WriteOrderJson(runs, speedup);
-
-  if (!runs[0].ok || !runs[1].ok) {
-    std::fprintf(stderr, "FAIL: a measurement run did not complete cleanly\n");
-    return 1;
-  }
-  const double min_speedup =
-      std::getenv("MVEE_BENCH_ORDER_MIN_SPEEDUP") ? std::atof(std::getenv("MVEE_BENCH_ORDER_MIN_SPEEDUP")) : 0.0;
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below required %.2fx\n", speedup, min_speedup);
+  if (!run.ok) {
+    std::fprintf(stderr, "FAIL: the measurement run did not complete cleanly\n");
     return 1;
   }
   return 0;

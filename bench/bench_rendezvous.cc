@@ -1,27 +1,20 @@
-// Lockstep round throughput: wait-free round slabs vs the mutex/condvar
-// baseline (MveeOptions::waitfree_rendezvous).
+// Lockstep round throughput of the wait-free round slabs (docs/DESIGN.md §6).
 //
 // The workload is the rendezvous cost in isolation: T threads per variant,
-// each hammering replicated 64-byte reads (the class whose round does the
+// each hammering replicated 64-byte preads (the class whose round does the
 // most work — digest compare, master kernel call, pooled payload publication,
-// per-slave copy) plus an ordered lseek to keep the fd offset pinned. Every
-// call is one full gather/execute/drain round, so rounds/second ==
-// syscalls/second. Under the mutex protocol each round costs several
-// lock/unlock pairs, two condvar waits and up to three notify_all fan-outs
-// (futex syscalls whenever anyone sleeps); under the slab protocol it costs
-// a handful of atomic RMWs and release/acquire stores, with SpinWait/parked
-// waiting instead of condvars (docs/DESIGN.md §6).
+// per-slave copy). Every call is one full gather/execute/drain round, so
+// rounds/second == syscalls/second. A round costs a handful of atomic RMWs
+// and release/acquire stores, with SpinWait/parked waiting instead of
+// condvars.
 //
-// Both modes run in one binary on the same workload; results go to
-// BENCH_monitor.json. Knobs:
+// Results go to BENCH_monitor.json. Knobs:
 //   MVEE_BENCH_RDV_THREADS      worker threads per variant     (default 4)
 //   MVEE_BENCH_RDV_VARIANTS     variants                       (default 2)
 //   MVEE_BENCH_RDV_ITERS        replicated reads per thread    (default 3000)
 //   MVEE_BENCH_RDV_REPS         repetitions, best-of kept      (default 3)
-//   MVEE_BENCH_RDV_MIN_SPEEDUP  exit nonzero below this        (default 0 = off)
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,7 +26,6 @@ using namespace mvee;
 using mvee::bench::EnvInt;
 
 struct RendezvousRun {
-  std::string mode;
   uint32_t variants = 0;
   uint32_t threads = 0;
   uint64_t rounds = 0;
@@ -43,15 +35,13 @@ struct RendezvousRun {
 };
 
 // T workers per variant, each reading a private 64-byte file in lockstep
-// rounds. Private descriptors keep the ordered lseek traffic on disjoint
-// per-fd domains, so what is measured is the rendezvous itself, not ordering
-// contention (that ratio lives in bench_order_domains).
-RendezvousRun RunLockstep(bool waitfree, uint32_t variants, uint32_t threads, int64_t iters) {
+// rounds. Replicated preads take no ordering domain, so what is measured is
+// the rendezvous itself, not ordering (that lives in bench_order_domains).
+RendezvousRun RunLockstep(uint32_t variants, uint32_t threads, int64_t iters) {
   MveeOptions options;
   options.num_variants = variants;
   options.agent = AgentKind::kWallOfClocks;
   options.enable_aslr = false;
-  options.waitfree_rendezvous = waitfree;
   options.rendezvous_timeout = std::chrono::milliseconds(60000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(60000);
 
@@ -79,7 +69,6 @@ RendezvousRun RunLockstep(bool waitfree, uint32_t variants, uint32_t threads, in
 
   const MveeReport& report = mvee.report();
   RendezvousRun run;
-  run.mode = waitfree ? "slab" : "mutex";
   run.variants = variants;
   run.threads = threads;
   run.rounds = report.syscalls.total;
@@ -89,27 +78,22 @@ RendezvousRun RunLockstep(bool waitfree, uint32_t variants, uint32_t threads, in
   return run;
 }
 
-void WriteMonitorJson(const std::vector<RendezvousRun>& runs, double speedup) {
+void WriteMonitorJson(const RendezvousRun& run) {
   const std::string path = mvee::bench::ResolveBenchJsonPath("BENCH_monitor.json");
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return;
   }
-  std::fprintf(file, "{\n  \"rendezvous\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RendezvousRun& run = runs[i];
-    std::fprintf(file,
-                 "    {\"mode\": \"%s\", \"variants\": %u, \"threads\": %u, "
-                 "\"rounds\": %llu, \"seconds\": %.4f, \"rounds_per_sec\": %.1f, "
-                 "\"ok\": %s}%s\n",
-                 run.mode.c_str(), run.variants, run.threads,
-                 static_cast<unsigned long long>(run.rounds), run.seconds, run.rounds_per_sec,
-                 run.ok ? "true" : "false", i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(file, "  ],\n  \"speedup_slab_vs_mutex\": %.2f\n}\n", speedup);
+  std::fprintf(file,
+               "{\n  \"rendezvous\": [\n"
+               "    {\"mode\": \"slab\", \"variants\": %u, \"threads\": %u, "
+               "\"rounds\": %llu, \"seconds\": %.4f, \"rounds_per_sec\": %.1f, "
+               "\"ok\": %s}\n  ]\n}\n",
+               run.variants, run.threads, static_cast<unsigned long long>(run.rounds),
+               run.seconds, run.rounds_per_sec, run.ok ? "true" : "false");
   std::fclose(file);
-  std::printf("wrote %s (%zu runs)\n", path.c_str(), runs.size());
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -122,49 +106,34 @@ int main() {
   const int64_t iters = EnvInt("MVEE_BENCH_RDV_ITERS", 3000);
   const int64_t reps = EnvInt("MVEE_BENCH_RDV_REPS", 3);
 
-  PrintHeader("Lockstep round throughput: mutex/condvar vs wait-free round slabs (" +
+  PrintHeader("Lockstep round throughput: wait-free round slabs (" +
               std::to_string(variants) + " variants, " + std::to_string(threads) +
               " threads, " + std::to_string(iters) + " replicated reads/thread)");
 
-  std::vector<RendezvousRun> runs;
   // Warm-up pass (thread pools, allocator, file cache) kept out of the runs.
-  RunLockstep(/*waitfree=*/true, variants, /*threads=*/2, /*iters=*/200);
+  RunLockstep(variants, /*threads=*/2, /*iters=*/200);
 
-  for (const bool waitfree : {false, true}) {
-    // Best of `reps` runs: on small/oversubscribed hosts a single run is
-    // dominated by scheduler noise; the best run is the least-perturbed
-    // measurement of each protocol's intrinsic cost.
-    RendezvousRun run;
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      RendezvousRun attempt = RunLockstep(waitfree, variants, threads, iters);
-      if (!attempt.ok) {
-        run = attempt;
-        break;
-      }
-      if (rep == 0 || attempt.rounds_per_sec > run.rounds_per_sec) {
-        run = attempt;
-      }
+  // Best of `reps` runs: on small/oversubscribed hosts a single run is
+  // dominated by scheduler noise; the best run is the least-perturbed
+  // measurement of the protocol's intrinsic cost.
+  RendezvousRun run;
+  for (int64_t rep = 0; rep < reps; ++rep) {
+    RendezvousRun attempt = RunLockstep(variants, threads, iters);
+    if (!attempt.ok) {
+      run = attempt;
+      break;
     }
-    std::printf("  %-6s %8.3fs  %10.0f rounds/s  (%llu rounds%s)\n", run.mode.c_str(),
-                run.seconds, run.rounds_per_sec, static_cast<unsigned long long>(run.rounds),
-                run.ok ? "" : ", FAILED RUN");
-    runs.push_back(run);
+    if (rep == 0 || attempt.rounds_per_sec > run.rounds_per_sec) {
+      run = attempt;
+    }
   }
+  std::printf("  slab %8.3fs  %10.0f rounds/s  (%llu rounds%s)\n", run.seconds,
+              run.rounds_per_sec, static_cast<unsigned long long>(run.rounds),
+              run.ok ? "" : ", FAILED RUN");
+  WriteMonitorJson(run);
 
-  const double speedup =
-      runs[0].rounds_per_sec > 0 ? runs[1].rounds_per_sec / runs[0].rounds_per_sec : 0;
-  std::printf("\n  slab vs mutex speedup: %.2fx\n", speedup);
-  WriteMonitorJson(runs, speedup);
-
-  if (!runs[0].ok || !runs[1].ok) {
-    std::fprintf(stderr, "FAIL: a measurement run did not complete cleanly\n");
-    return 1;
-  }
-  const double min_speedup = std::getenv("MVEE_BENCH_RDV_MIN_SPEEDUP")
-                                 ? std::atof(std::getenv("MVEE_BENCH_RDV_MIN_SPEEDUP"))
-                                 : 0.0;
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below required %.2fx\n", speedup, min_speedup);
+  if (!run.ok) {
+    std::fprintf(stderr, "FAIL: the measurement run did not complete cleanly\n");
     return 1;
   }
   return 0;

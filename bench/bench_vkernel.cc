@@ -1,5 +1,4 @@
-// Virtual-kernel mixed-op throughput: sharded vs the seed's global-mutex
-// baseline (MveeOptions::sharded_vkernel, docs/DESIGN.md §7).
+// Virtual-kernel mixed-op throughput (docs/DESIGN.md §7).
 //
 // The workload drives the virtual kernel directly from 2 variant processes x
 // 8 threads (isolating the kernel's own locks from rendezvous cost, the way
@@ -7,29 +6,23 @@
 // event-loop step against its partner thread:
 //
 //   - readiness handoff: write one byte into the outgoing pipe, poll the
-//     incoming pipe (infinite timeout), read the byte. Baseline ExecutePoll
-//     rediscovers readiness on a 200us sleep quantum; the sharded kernel
-//     parks on the pipe's wait queue and is woken by the write itself.
-//   - fd/VFS churn: open a per-thread path (stripe + per-thread handle
-//     cache vs one namespace mutex), pread 64 bytes (lock-free leased
-//     lookup vs table mutex), lseek, stat, close.
-//   - getrandom(64): per-thread-set counted RNG stream vs rng_mutex_.
-//   - futex wake on a private word (no waiter): per-shard lock vs the
-//     table-wide mutex.
+//     incoming pipe (infinite timeout), read the byte. The poll parks on
+//     the pipe's wait queue and is woken by the write itself.
+//   - fd/VFS churn: open a per-thread path (path stripe + per-thread handle
+//     cache), pread 64 bytes (lock-free leased lookup), lseek, stat, close.
+//   - getrandom(64): per-thread-set counted RNG stream.
+//   - futex wake on a private word (no waiter): per-shard lock.
 //
 // Every operation above is one kernel call; ops/second is the sum over all
-// threads. Both modes run in one binary; results go to BENCH_vkernel.json.
-// Knobs:
+// threads. Results go to BENCH_vkernel.json. Knobs:
 //   MVEE_BENCH_VK_THREADS      worker threads per variant      (default 8)
 //   MVEE_BENCH_VK_VARIANTS     variant processes               (default 2)
 //   MVEE_BENCH_VK_ITERS        event-loop steps per thread     (default 1200)
 //   MVEE_BENCH_VK_REPS         repetitions, best-of kept       (default 3)
-//   MVEE_BENCH_VK_MIN_SPEEDUP  exit nonzero below this         (default 0 = off)
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -44,7 +37,6 @@ using namespace mvee;
 using mvee::bench::EnvInt;
 
 struct VkernelRun {
-  std::string mode;
   uint32_t variants = 0;
   uint32_t threads = 0;
   uint64_t ops = 0;
@@ -143,13 +135,13 @@ uint64_t EventLoopStep(VirtualKernel& kernel, ProcessState& process, uint32_t ti
   return ops;
 }
 
-VkernelRun RunMixed(bool sharded, uint32_t variants, uint32_t threads, int64_t iters) {
-  VirtualKernel kernel(42, sharded);
+VkernelRun RunMixed(uint32_t variants, uint32_t threads, int64_t iters) {
+  VirtualKernel kernel(42);
   std::vector<std::unique_ptr<ProcessState>> processes;
   for (uint32_t v = 0; v < variants; ++v) {
     processes.push_back(std::make_unique<ProcessState>(
         /*pid=*/1000 + static_cast<int32_t>(v), 0x10000 + v * 0x1000000,
-        0x100000 + v * 0x1000000, sharded));
+        0x100000 + v * 0x1000000));
   }
 
   // Per-thread blobs + per-pair pipes (threads pair up as t and t^1; an odd
@@ -206,7 +198,6 @@ VkernelRun RunMixed(bool sharded, uint32_t variants, uint32_t threads, int64_t i
   const auto end = std::chrono::steady_clock::now();
 
   VkernelRun run;
-  run.mode = sharded ? "sharded" : "baseline";
   run.variants = variants;
   run.threads = threads;
   run.ops = total_ops.load();
@@ -218,29 +209,23 @@ VkernelRun RunMixed(bool sharded, uint32_t variants, uint32_t threads, int64_t i
   return run;
 }
 
-void WriteVkernelJson(const std::vector<VkernelRun>& runs, double speedup) {
+void WriteVkernelJson(const VkernelRun& run) {
   const std::string path = mvee::bench::ResolveBenchJsonPath("BENCH_vkernel.json");
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return;
   }
-  std::fprintf(file, "{\n  \"vkernel_mixed\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const VkernelRun& run = runs[i];
-    std::fprintf(file,
-                 "    {\"mode\": \"%s\", \"variants\": %u, \"threads\": %u, "
-                 "\"ops\": %llu, \"seconds\": %.4f, \"ops_per_sec\": %.1f, "
-                 "\"waitq_waits\": %llu, \"waitq_wakeups\": %llu}%s\n",
-                 run.mode.c_str(), run.variants, run.threads,
-                 static_cast<unsigned long long>(run.ops), run.seconds, run.ops_per_sec,
-                 static_cast<unsigned long long>(run.waitq_waits),
-                 static_cast<unsigned long long>(run.waitq_wakeups),
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(file, "  ],\n  \"speedup_sharded_vs_baseline\": %.2f\n}\n", speedup);
+  std::fprintf(file,
+               "{\n  \"vkernel_mixed\": [\n"
+               "    {\"mode\": \"sharded\", \"variants\": %u, \"threads\": %u, "
+               "\"ops\": %llu, \"seconds\": %.4f, \"ops_per_sec\": %.1f, "
+               "\"waitq_waits\": %llu, \"waitq_wakeups\": %llu}\n  ]\n}\n",
+               run.variants, run.threads, static_cast<unsigned long long>(run.ops),
+               run.seconds, run.ops_per_sec, static_cast<unsigned long long>(run.waitq_waits),
+               static_cast<unsigned long long>(run.waitq_wakeups));
   std::fclose(file);
-  std::printf("wrote %s (%zu runs)\n", path.c_str(), runs.size());
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -253,50 +238,32 @@ int main() {
   const int64_t iters = EnvInt("MVEE_BENCH_VK_ITERS", 1200);
   const int64_t reps = EnvInt("MVEE_BENCH_VK_REPS", 3);
 
-  PrintHeader("Virtual-kernel mixed-op throughput: global-mutex baseline vs sharded (" +
-              std::to_string(variants) + " variant processes, " + std::to_string(threads) +
-              " threads each, " + std::to_string(iters) + " event-loop steps/thread)");
+  PrintHeader("Virtual-kernel mixed-op throughput (" + std::to_string(variants) +
+              " variant processes, " + std::to_string(threads) + " threads each, " +
+              std::to_string(iters) + " event-loop steps/thread)");
 
   // Warm-up (allocator, file cache) kept out of the measurements.
-  RunMixed(/*sharded=*/true, variants, /*threads=*/2, /*iters=*/100);
+  RunMixed(variants, /*threads=*/2, /*iters=*/100);
 
-  std::vector<VkernelRun> runs;
-  for (const bool sharded : {false, true}) {
-    // Best of `reps`: on small/oversubscribed hosts a single run is
-    // dominated by scheduler noise; the best run is the least-perturbed
-    // measurement of each mode's intrinsic cost.
-    VkernelRun run;
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      VkernelRun attempt = RunMixed(sharded, variants, threads, iters);
-      if (rep == 0 || attempt.ops_per_sec > run.ops_per_sec) {
-        run = attempt;
-      }
+  // Best of `reps`: on small/oversubscribed hosts a single run is dominated
+  // by scheduler noise; the best run is the least-perturbed measurement of
+  // the kernel's intrinsic cost.
+  VkernelRun run;
+  for (int64_t rep = 0; rep < reps; ++rep) {
+    VkernelRun attempt = RunMixed(variants, threads, iters);
+    if (rep == 0 || attempt.ops_per_sec > run.ops_per_sec) {
+      run = attempt;
     }
-    std::printf("  %-9s %8.3fs  %10.0f ops/s  (%llu ops, waitq waits=%llu wakeups=%llu)\n",
-                run.mode.c_str(), run.seconds, run.ops_per_sec,
-                static_cast<unsigned long long>(run.ops),
-                static_cast<unsigned long long>(run.waitq_waits),
-                static_cast<unsigned long long>(run.waitq_wakeups));
-    runs.push_back(run);
   }
+  std::printf("  %8.3fs  %10.0f ops/s  (%llu ops, waitq waits=%llu wakeups=%llu)\n",
+              run.seconds, run.ops_per_sec, static_cast<unsigned long long>(run.ops),
+              static_cast<unsigned long long>(run.waitq_waits),
+              static_cast<unsigned long long>(run.waitq_wakeups));
+  WriteVkernelJson(run);
 
-  const double speedup =
-      runs[0].ops_per_sec > 0 ? runs[1].ops_per_sec / runs[0].ops_per_sec : 0;
-  std::printf("\n  sharded vs baseline speedup: %.2fx\n", speedup);
-  std::printf("  baseline poll spin-scans on a 200us quantum (0 waitq wakeups); the\n"
-              "  sharded kernel's polls ride wait-queue wakeups (%llu observed)\n",
-              static_cast<unsigned long long>(runs[1].waitq_wakeups));
-  WriteVkernelJson(runs, speedup);
-
-  if (runs[1].waitq_wakeups == 0) {
-    std::fprintf(stderr, "FAIL: sharded run recorded no wait-queue wakeups\n");
-    return 1;
-  }
-  const double min_speedup = std::getenv("MVEE_BENCH_VK_MIN_SPEEDUP")
-                                 ? std::atof(std::getenv("MVEE_BENCH_VK_MIN_SPEEDUP"))
-                                 : 0.0;
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below required %.2fx\n", speedup, min_speedup);
+  // Polls must ride wait-queue wakeups, not spin-scan.
+  if (run.waitq_wakeups == 0) {
+    std::fprintf(stderr, "FAIL: the run recorded no wait-queue wakeups\n");
     return 1;
   }
   return 0;

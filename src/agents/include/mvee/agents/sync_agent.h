@@ -57,9 +57,8 @@ struct AgentStatsSnapshot {
 
 // Default for AgentConfig::sharded_recording: on, unless the environment
 // forces the global-lock baseline (MVEE_SHARDED_RECORDING=0). The override
-// lets whole test suites sweep the baseline without edits, mirroring
-// MVEE_SHARDED_VKERNEL / MVEE_WAITFREE_RENDEZVOUS; explicit assignments in
-// code always win.
+// lets whole test suites sweep the baseline without edits; explicit
+// assignments in code always win.
 inline bool DefaultShardedRecording() {
   const char* env = std::getenv("MVEE_SHARDED_RECORDING");
   return env == nullptr || env[0] != '0';

@@ -52,17 +52,16 @@ struct MveeReport {
   // program's own contention; the global lock accumulates it on every
   // cross-thread sync-op overlap.
   uint64_t record_lock_spins = 0;
-  // Sharded syscall-ordering domain lifecycle (docs/syscall_ordering.md):
-  // per-fd domains created on first stamp, retired at close, reclaimed at
-  // end-of-run quiescence. All zero under the global-clock baseline.
+  // Syscall-ordering domain lifecycle (docs/syscall_ordering.md): per-fd
+  // domains created on first stamp, retired at close, reclaimed at
+  // end-of-run quiescence.
   uint64_t order_domains_created = 0;
   uint64_t order_domains_retired = 0;
   uint64_t order_domains_reclaimed = 0;
   // Virtual-kernel readiness subsystem (docs/DESIGN.md §7): parked waits and
   // event-driven wakeups of poll/accept/futex callers. Nonzero wakeups under
   // load are the observable proof that blocking calls ride wait-queue
-  // notifications instead of spin-polling. All zero under the sharded_vkernel
-  // = false baseline (its poll re-scans on a sleep quantum).
+  // notifications instead of spin-polling.
   uint64_t vkernel_waitq_waits = 0;
   uint64_t vkernel_waitq_wakeups = 0;
   // Failure-model outcomes (docs/DESIGN.md §9). A run that excised variants

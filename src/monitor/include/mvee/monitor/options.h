@@ -11,7 +11,6 @@
 #include "mvee/agents/sync_agent.h"
 #include "mvee/agents/variable_map.h"
 #include "mvee/monitor/reporter.h"
-#include "mvee/vkernel/vkernel_config.h"
 
 namespace mvee {
 
@@ -20,16 +19,6 @@ namespace mvee {
 inline std::string DefaultFaultPlan() {
   const char* env = std::getenv("MVEE_FAULT_PLAN");
   return env != nullptr ? std::string(env) : std::string();
-}
-
-// Default for MveeOptions::waitfree_rendezvous: on, unless the environment
-// forces the mutex baseline (MVEE_WAITFREE_RENDEZVOUS=0). The override lets
-// the entire existing test suite run under either protocol without edits
-// (`MVEE_WAITFREE_RENDEZVOUS=0 ctest`); explicit assignments in code always
-// win.
-inline bool DefaultWaitfreeRendezvous() {
-  const char* env = std::getenv("MVEE_WAITFREE_RENDEZVOUS");
-  return env == nullptr || env[0] != '0';
 }
 
 // Which system calls the monitor compares in lockstep across variants
@@ -71,34 +60,10 @@ struct MveeOptions {
   bool enable_dcl = false;
   // Simulated ASLR: per-variant randomized heap/map bases.
   bool enable_aslr = true;
-  // Enforce the syscall ordering clock on shared-resource calls (§4.1).
+  // Enforce the syscall ordering clock on shared-resource calls (§4.1),
+  // one Lamport clock per resource domain (docs/syscall_ordering.md).
   // Disabling reproduces the benign-divergence failure mode of §3.1.
   bool order_resource_calls = true;
-  // Shard the ordering clock into per-resource domains (per-fd for
-  // descriptor-scoped ops, process-wide only for fd-namespace / memory /
-  // clone traffic) instead of one global critical section + one replay clock
-  // per variant (docs/syscall_ordering.md). Disabling restores the
-  // global-clock baseline so both modes are measurable in one run —
-  // mirroring AgentConfig::cached_ring_cursors.
-  bool sharded_order_domains = true;
-  // Lockstep rendezvous protocol: epoch-numbered round slabs advanced by
-  // atomic arrivals, release/acquire handoffs, and spin-then-park waits
-  // (docs/DESIGN.md §6) instead of the mutex/condvar round. Disabling
-  // restores the mutex baseline so both protocols are measurable in one
-  // process — mirroring sharded_order_domains / cached_ring_cursors.
-  // Default on; MVEE_WAITFREE_RENDEZVOUS=0 in the environment flips the
-  // default so whole test suites can sweep the baseline.
-  bool waitfree_rendezvous = DefaultWaitfreeRendezvous();
-  // Virtual-kernel concurrency mode (docs/DESIGN.md §7): striped VFS with a
-  // per-thread handle cache, lock-free generation-tagged fd lookups, hashed
-  // futex shards with intrusive wait queues, per-thread-set getrandom RNG
-  // streams, and wait-queue-driven poll/accept. Disabling restores the
-  // seed's global-mutex kernel (and its 200us poll quantum) so both modes
-  // are measurable in one process — mirroring waitfree_rendezvous /
-  // sharded_order_domains. Default on; MVEE_SHARDED_VKERNEL=0 in the
-  // environment flips the default so whole test suites can sweep the
-  // baseline.
-  bool sharded_vkernel = DefaultShardedVkernel();
   // Seed for diversity and kernel randomness.
   uint64_t seed = 0x5eedULL;
   // Lockstep rendezvous deadline; exceeded => divergence (variants made

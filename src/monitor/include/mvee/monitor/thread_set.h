@@ -15,28 +15,23 @@
 //                     result + output bytes are published to the slaves,
 //                     which apply local side effects only (§4.1).
 //        kOrdered:    master executes inside the syscall-ordering critical
-//                     section of the resource's ordering domain (or the
-//                     global one when sharding is off) and publishes its
-//                     Lamport timestamp; each slave spins until its private
-//                     clock for that domain matches, executes locally, and
-//                     increments the clock (§4.1, docs/syscall_ordering.md).
+//                     section of the resource's ordering domain and
+//                     publishes its Lamport timestamp; each slave spins
+//                     until its private clock for that domain matches,
+//                     executes locally, and increments the clock (§4.1,
+//                     docs/syscall_ordering.md).
 //        kLocal:      every variant executes locally, unordered.
 //        kControl:    handled by the monitor itself (self-aware, clone,
 //                     exit) without touching the kernel.
 //   3. drain     — the last consumer resets the round.
 //
-// Two lockstep implementations of that protocol coexist, selected by
-// MveeOptions::waitfree_rendezvous:
-//   * Round slabs (default): a small ring of epoch-numbered, cache-padded
-//     round structs. Variants arrive with one fetch_or, whichever thread
-//     completes the live set claims the open (open_claim CAS), compares
-//     digests and opens execution with a release store, slaves spin on the
-//     slab's phase word (SpinWait) and fall back to a futex-style parked
-//     wait after the spin budget. No mutex, no condvar, no allocation on
-//     the happy path. Protocol walkthrough + memory ordering argument:
-//     docs/DESIGN.md §6.
-//   * Mutex/condvar (waitfree_rendezvous = false): the seed's protocol,
-//     kept as an in-process measurable baseline (bench_rendezvous).
+// Lockstep rounds run on round slabs: a small ring of epoch-numbered,
+// cache-padded round structs. Variants arrive with one fetch_or, whichever
+// thread completes the live set claims the open (open_claim CAS), compares
+// digests and opens execution with a release store, slaves spin on the
+// slab's phase word (SpinWait) and fall back to a futex-style parked wait
+// after the spin budget. No mutex, no condvar, no allocation on the happy
+// path. Protocol walkthrough + memory ordering argument: docs/DESIGN.md §6.
 //
 // Failure model (docs/DESIGN.md §9): round membership is the reporter's
 // live-variant mask, sampled when a round opens. A variant that crashes,
@@ -51,7 +46,6 @@
 #define MVEE_MONITOR_THREAD_SET_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -80,9 +74,6 @@ struct MonitorShared {
 
   // Syscall-ordering domains (§4.1, docs/syscall_ordering.md): one
   // timestamp counter + per-variant replay clock per conflicting resource.
-  // The global-clock baseline (!options->sharded_order_domains) routes every
-  // ordered call through the single kFdNamespace domain — one mutex, one
-  // counter, one replay clock per variant, i.e. the seed's cost profile.
   OrderDomainTable* order_domains = nullptr;
 
   // Logical tid allocator for sys_clone (identical across variants because
@@ -132,7 +123,7 @@ class ThreadSetMonitor {
   // re-evaluate round completeness against the shrunken live mask, and
   // detaches the dead variant's loose-mode ring cursor so the leader's
   // backpressure stops waiting for it. Runs on the excising thread, outside
-  // the reporter lock and outside this monitor's mutex.
+  // the reporter lock.
   void OnVariantExcised(uint32_t variant);
 
   // Blocked-call heartbeat (watchdog input). `seq` is odd while the variant
@@ -145,8 +136,9 @@ class ThreadSetMonitor {
   };
   CallProgress Progress(uint32_t variant) const;
 
-  // One-line state snapshot ("tid=3 phase=exec arrived=2/2 master_done=1
-  // last=sys_futex") for hang diagnostics.
+  // One-line state snapshot of the oldest in-flight round ("tid=3 round=12
+  // phase=1 arrived=2/2 drained=0 parked=0 v0=sys_futex v1=sys_futex") for
+  // hang diagnostics.
   std::string DebugString();
 
   // Adds this thread set's round counts into `out` (report aggregation).
@@ -155,7 +147,7 @@ class ThreadSetMonitor {
   uint32_t tid() const { return tid_; }
 
  private:
-  // --- Wait-free round slabs (waitfree_rendezvous) -------------------------
+  // --- Wait-free round slabs ----------------------------------------------
 
   // How far a drained round's state survives before its slab is recycled.
   // Lockstep keeps at most two rounds in flight per thread set (a variant
@@ -301,19 +293,6 @@ class ThreadSetMonitor {
   std::string CompareSlabRoundLive(const RoundSlab& slab, uint32_t members,
                                    uint32_t* outlier) const;
 
-  // --- Mutex/condvar baseline (waitfree_rendezvous = false) ----------------
-
-  int64_t RunSyscallMutex(uint32_t variant, SyscallRequest& request,
-                          std::vector<int32_t>* delivered_signals);
-
-  // Digest comparison for the gathered round restricted to `members` (with
-  // mutex_ held); same outlier contract as CompareSlabRoundLive.
-  std::string CompareRoundLive(uint32_t members, uint32_t* outlier) const;
-
-  // Marks `variant` drained under mutex_; the drain that completes the
-  // arrival mask resets the round. Lock must be held.
-  void DrainMutexLocked(uint32_t variant);
-
   // --- Shared helpers ------------------------------------------------------
 
   // Returns true if this request's arguments must be compared under the
@@ -330,10 +309,6 @@ class ThreadSetMonitor {
   // any lock so that divergence reports never occur while one is held.
   int64_t ExecuteSlave(uint32_t variant, SyscallRequest& request, SyscallClass klass,
                        const SyscallResult& master, int64_t control_retval);
-
-  // The domain the master stamps `request` in: resolved per resource under
-  // sharded ordering, always kFdNamespace under the global-clock baseline.
-  uint32_t StampDomainOf(ProcessState& process, const SyscallRequest& request);
 
   // The replay clock a slave must spin on for `master`'s stamped ordering
   // position (the stamped domain's per-variant clock).
@@ -381,29 +356,13 @@ class ThreadSetMonitor {
   // opener/leader, aggregated into MveeReport at the end of the run).
   AtomicSyscallCounters counters_;
 
-  // Slab state (waitfree path).
+  // Lockstep slab state.
   std::vector<RoundSlab> slabs_;
   std::vector<VariantCursor> cursors_;
   ParkingSpot park_;
 
-  // Per-variant heartbeat / deposit-window flags (both protocols).
+  // Per-variant heartbeat / deposit-window flags.
   std::vector<ProgressSlot> progress_;
-
-  // Mutex baseline state.
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  enum class Phase { kGather, kExecute, kDone };
-  Phase phase_ = Phase::kGather;
-  uint32_t arrived_mask_ = 0;      // bitmap of deposited variants
-  uint32_t drained_mask_ = 0;      // bitmap of drained variants
-  uint32_t round_members_ = 0;     // live mask sampled when the round opened
-  std::vector<SyscallRequest*> requests_;
-  std::vector<uint64_t> digests_;
-  SyscallResult master_result_;
-  PayloadBuffer mutex_payload_;  // master_result_.out_payload views this
-  bool master_done_ = false;
-  int64_t control_retval_ = 0;  // clone tid etc., shared by all variants
-  std::vector<int32_t> round_signals_;  // Signals latched for this round.
 
   // Loose mode: one ring + record pool per thread set; consumer v-1 belongs
   // to variant v.

@@ -35,7 +35,7 @@ Mvee::Mvee(const MveeOptions& options, VirtualKernel* external_kernel) : options
   if (external_kernel != nullptr) {
     kernel_ = external_kernel;
   } else {
-    owned_kernel_ = std::make_unique<VirtualKernel>(options_.seed, options_.sharded_vkernel);
+    owned_kernel_ = std::make_unique<VirtualKernel>(options_.seed);
     kernel_ = owned_kernel_.get();
   }
 
@@ -68,8 +68,7 @@ Mvee::Mvee(const MveeOptions& options, VirtualKernel* external_kernel) : options
     state->diversity = std::make_unique<DiversityMap>(v, options_.seed, options_.enable_aslr,
                                                       options_.enable_dcl);
     state->process = std::make_unique<ProcessState>(
-        /*pid=*/1000, state->diversity->heap_base(), state->diversity->map_base(),
-        options_.sharded_vkernel);
+        /*pid=*/1000, state->diversity->heap_base(), state->diversity->map_base());
     state->process->set_variant_index(v);
     state->agent = fleet_->CreateAgent(v);
     variants_.push_back(std::move(state));
@@ -81,8 +80,8 @@ Mvee::Mvee(const MveeOptions& options, VirtualKernel* external_kernel) : options
   for (auto& variant : variants_) {
     shared_.processes.push_back(variant->process.get());
   }
-  // Ordering domains carry all syscall-ordering state; the global-clock
-  // baseline runs through the single kFdNamespace domain (thread_set.h).
+  // Ordering domains carry all syscall-ordering state
+  // (docs/syscall_ordering.md).
   order_domains_ = std::make_unique<OrderDomainTable>(options_.num_variants);
   shared_.order_domains = order_domains_.get();
 

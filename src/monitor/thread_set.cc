@@ -41,8 +41,6 @@ constexpr uint64_t kDigestCorruption = 0xBADD16E57ull;
 ThreadSetMonitor::ThreadSetMonitor(uint32_t tid, MonitorShared* shared)
     : tid_(tid), shared_(shared) {
   const uint32_t n = shared_->options->num_variants;
-  requests_.resize(n, nullptr);
-  digests_.resize(n, 0);
   // Round slabs: slab i starts serving round i; the last drainer of round r
   // re-arms its slab for round r + depth.
   slabs_ = std::vector<RoundSlab>(kSlabRingDepth);
@@ -87,68 +85,44 @@ std::string ThreadSetMonitor::DebugString() {
     }
     return out.str();
   }
-  if (shared_->options->waitfree_rendezvous) {
-    // Slab mode: diagnostics read only atomics (epochs, phases, bitmaps and
-    // the slots' mirrored sysnos) — never the deposited request pointers,
-    // which point at variant stacks and may already be retired. The slab
-    // with the lowest epoch serves the oldest in-flight round: that is
-    // where a stuck rendezvous is parked.
-    const RoundSlab* oldest = &slabs_[0];
-    for (const RoundSlab& slab : slabs_) {
-      if (slab.epoch.load(std::memory_order_relaxed) <
-          oldest->epoch.load(std::memory_order_relaxed)) {
-        oldest = &slab;
-      }
+  // Diagnostics read only atomics (epochs, phases, bitmaps and the slots'
+  // mirrored sysnos) — never the deposited request pointers, which point at
+  // variant stacks and may already be retired. The slab with the lowest
+  // epoch serves the oldest in-flight round: that is where a stuck
+  // rendezvous is parked.
+  const RoundSlab* oldest = &slabs_[0];
+  for (const RoundSlab& slab : slabs_) {
+    if (slab.epoch.load(std::memory_order_relaxed) <
+        oldest->epoch.load(std::memory_order_relaxed)) {
+      oldest = &slab;
     }
-    const uint32_t arrivals = oldest->arrivals.load(std::memory_order_acquire);
-    out << " round=" << oldest->epoch.load(std::memory_order_relaxed)
-        << " phase=" << oldest->phase.load(std::memory_order_relaxed)
-        << " arrived=" << std::popcount(arrivals) << "/"
-        << shared_->options->num_variants << " drained="
-        << std::popcount(oldest->drained.load(std::memory_order_relaxed))
-        << " parked=" << park_.parked();
-    for (size_t v = 0; v < oldest->slots.size(); ++v) {
-      if ((arrivals & (1u << v)) != 0) {
-        out << " v" << v << "="
-            << SysnoName(oldest->slots[v].sysno.load(std::memory_order_relaxed));
-      }
-    }
-    return out.str();
   }
-  std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    out << " <mutex busy>";
-    return out.str();
-  }
-  out << " phase=" << (phase_ == Phase::kGather ? "gather" : "execute") << " arrived="
-      << std::popcount(arrived_mask_) << " drained=" << std::popcount(drained_mask_)
-      << " master_done=" << master_done_;
-  for (size_t v = 0; v < requests_.size(); ++v) {
-    if (requests_[v] != nullptr) {
-      out << " v" << v << "=" << SysnoName(requests_[v]->sysno);
+  const uint32_t arrivals = oldest->arrivals.load(std::memory_order_acquire);
+  out << " round=" << oldest->epoch.load(std::memory_order_relaxed)
+      << " phase=" << oldest->phase.load(std::memory_order_relaxed)
+      << " arrived=" << std::popcount(arrivals) << "/"
+      << shared_->options->num_variants << " drained="
+      << std::popcount(oldest->drained.load(std::memory_order_relaxed))
+      << " parked=" << park_.parked();
+  for (size_t v = 0; v < oldest->slots.size(); ++v) {
+    if ((arrivals & (1u << v)) != 0) {
+      out << " v" << v << "="
+          << SysnoName(oldest->slots[v].sysno.load(std::memory_order_relaxed));
     }
   }
   return out.str();
 }
 
 void ThreadSetMonitor::NotifyShutdown() {
-  // Empty critical section: serializes with any waiter's predicate check so
-  // the notification cannot land in the unlock-to-sleep window. Callers must
-  // never hold mutex_ when reporting (RunSyscall unlocks first).
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  cv_.notify_all();
   // Slab waiters re-check reporter->tripped() on every spin step; this only
   // needs to lift the parked ones out of their slice sleeps.
   park_.WakeParked();
 }
 
 void ThreadSetMonitor::OnVariantExcised(uint32_t variant) {
-  // Same empty-critical-section discipline as NotifyShutdown: gather loops
-  // re-check the live mask under mutex_ (baseline) or on every spin step
-  // (slabs); this lifts sleepers so they re-evaluate now, not at the end of
-  // their park slice.
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  cv_.notify_all();
+  // Gather loops re-check the live mask on every spin step; this lifts
+  // parked waiters so they re-evaluate now, not at the end of their park
+  // slice.
   park_.WakeParked();
   if (loose_ring_ != nullptr && variant >= 1 &&
       variant < shared_->options->num_variants) {
@@ -188,42 +162,6 @@ uint64_t ThreadSetMonitor::DepositDigest(uint32_t variant,
     digest ^= kDigestCorruption;
   }
   return digest;
-}
-
-std::string ThreadSetMonitor::CompareRoundLive(uint32_t members, uint32_t* outlier) const {
-  if ((members & 1u) == 0 || !MustCompare(*requests_[0])) {
-    return "";
-  }
-  uint32_t mismatched = 0;
-  uint32_t rest = members & ~1u;
-  while (rest != 0) {
-    const uint32_t v = static_cast<uint32_t>(std::countr_zero(rest));
-    rest &= rest - 1;
-    if (requests_[v]->sysno != requests_[0]->sysno || digests_[v] != digests_[0]) {
-      mismatched |= 1u << v;
-    }
-  }
-  if (mismatched == 0) {
-    return "";
-  }
-  const uint32_t first = static_cast<uint32_t>(std::countr_zero(mismatched));
-  std::ostringstream detail;
-  if (requests_[first]->sysno != requests_[0]->sysno) {
-    detail << "thread " << tid_ << ": syscall number mismatch: " << requests_[0]->ToString()
-           << " (variant 0) vs " << requests_[first]->ToString() << " (variant " << first
-           << ")";
-  } else {
-    detail << "thread " << tid_ << ": argument mismatch on " << requests_[0]->ToString()
-           << " (variant 0) vs " << requests_[first]->ToString() << " (variant " << first
-           << ")";
-  }
-  if (std::popcount(mismatched) == 1) {
-    *outlier = first;
-  } else {
-    detail << " (+" << std::popcount(mismatched) - 1
-           << " more variants diverged; multi-way divergence is never excised)";
-  }
-  return detail.str();
 }
 
 std::string ThreadSetMonitor::CompareSlabRoundLive(const RoundSlab& slab, uint32_t members,
@@ -318,16 +256,6 @@ static SyscallResult StampOrdered(OrderDomain* domain, ExecuteFn&& execute) {
   return result;
 }
 
-// The ordering domain `request` is stamped in. Sharded mode partitions by
-// resource (docs/syscall_ordering.md); the global-clock baseline maps every
-// call to the single kFdNamespace domain, which reproduces the seed's cost
-// profile exactly — one mutex, one counter, one replay clock per variant.
-uint32_t ThreadSetMonitor::StampDomainOf(ProcessState& process, const SyscallRequest& request) {
-  if (!shared_->options->sharded_order_domains) {
-    return OrderDomainIds::kFdNamespace;
-  }
-  return shared_->kernel->OrderDomainOf(process, request);
-}
 
 SyscallResult ThreadSetMonitor::ExecuteMaster(SyscallRequest& request, SyscallClass klass,
                                               int64_t control_retval) {
@@ -376,12 +304,11 @@ SyscallResult ThreadSetMonitor::ExecuteMaster(SyscallRequest& request, SyscallCl
         return shared_->kernel->Execute(process, request);
       }
       // Lamport timestamp under the resource domain's critical section:
-      // conflicting calls replay in true execution order (§4.1), while —
-      // under sharding — calls on disjoint resources no longer serialize
-      // against each other (docs/syscall_ordering.md).
-      const bool sharded = shared_->options->sharded_order_domains;
-      OrderDomain* domain =
-          shared_->order_domains->FindOrCreate(StampDomainOf(process, request));
+      // conflicting calls replay in true execution order (§4.1), while calls
+      // on disjoint resources do not serialize against each other
+      // (docs/syscall_ordering.md).
+      OrderDomain* domain = shared_->order_domains->FindOrCreate(
+          shared_->kernel->OrderDomainOf(process, request));
       uint32_t retire_id = OrderDomainIds::kNone;
       SyscallResult result = StampOrdered(domain, [&] {
         // A close tears down its descriptor's per-fd domain; resolve the
@@ -389,7 +316,7 @@ SyscallResult ThreadSetMonitor::ExecuteMaster(SyscallRequest& request, SyscallCl
         // serialized here, so a racing double-close cannot retire a stale
         // id for a descriptor number that was already reused) and before
         // Execute frees the entry.
-        if (sharded && request.sysno == Sysno::kClose) {
+        if (request.sysno == Sysno::kClose) {
           retire_id = process.fds().OrderDomainOf(static_cast<int32_t>(request.arg0));
         }
         return shared_->kernel->Execute(process, request);
@@ -513,9 +440,9 @@ int64_t ThreadSetMonitor::ExecuteSlave(uint32_t variant, SyscallRequest& request
 
     case SyscallClass::kOrdered: {
       if (shared_->options->order_resource_calls) {
-        // Spin until this variant's private ordering clock — per-domain under
-        // sharding, variant-wide otherwise — reaches the recorded timestamp
-        // (§4.1). Replays of calls on disjoint domains proceed in parallel.
+        // Spin until this variant's private clock for the stamped domain
+        // reaches the recorded timestamp (§4.1). Replays of calls on disjoint
+        // domains proceed in parallel.
         auto& clock = SlaveClockFor(variant, master);
         const uint64_t want = master.order_timestamp;
         AwaitOrderClock(clock, want, variant, request, "for");
@@ -753,8 +680,7 @@ bool ThreadSetMonitor::AwaitSlabState(Predicate&& ready, bool timed) {
     park_.WaitTicket(ticket, kParkSlice);
     park_.EndPark();
     // Re-check readiness before the deadline: a round that completed right
-    // at the wire must win over a just-expired budget — the spin path and
-    // the mutex baseline's cv predicates resolve the same race the same way.
+    // at the wire must win over a just-expired budget, as on the spin path.
     if (ready()) {
       return true;
     }
@@ -1188,246 +1114,6 @@ int64_t ThreadSetMonitor::RunSyscallSlab(uint32_t variant, SyscallRequest& reque
   return retval;
 }
 
-void ThreadSetMonitor::DrainMutexLocked(uint32_t variant) {
-  const uint32_t self_bit = 1u << variant;
-  if ((drained_mask_ & self_bit) != 0) {
-    return;  // double-fire guard (unwind paths)
-  }
-  drained_mask_ |= self_bit;
-  if (drained_mask_ != arrived_mask_) {
-    return;
-  }
-  arrived_mask_ = 0;
-  drained_mask_ = 0;
-  round_members_ = 0;
-  master_done_ = false;
-  master_result_ = SyscallResult{};
-  round_signals_.clear();
-  std::fill(requests_.begin(), requests_.end(), nullptr);
-  std::fill(digests_.begin(), digests_.end(), 0);
-  phase_ = Phase::kGather;
-  cv_.notify_all();
-}
-
-int64_t ThreadSetMonitor::RunSyscallMutex(uint32_t variant, SyscallRequest& request,
-                                          std::vector<int32_t>* delivered_signals) {
-  const SyscallClass klass = ClassOf(request.sysno);
-  const uint32_t n = shared_->options->num_variants;
-  const uint32_t full = (1u << n) - 1;
-  const uint32_t self_bit = 1u << variant;
-  const auto timeout = shared_->options->rendezvous_timeout;
-  DivergenceReporter* reporter = shared_->reporter;
-
-  std::unique_lock<std::mutex> lock(mutex_);
-
-  // Wait for the previous round to fully drain. An excised variant parked
-  // here just unwinds — it never deposited, so no accounting is owed.
-  if (!cv_.wait_for(lock, timeout, [&] {
-        return phase_ == Phase::kGather || reporter->tripped() ||
-               reporter->VariantDead(variant);
-      })) {
-    std::ostringstream detail;
-    detail << "thread " << tid_ << ": previous round never drained: variant " << variant
-           << " waiting on " << SysnoName(request.sysno) << " " << request.ToString()
-           << " (arrived=0x" << std::hex << arrived_mask_ << " drained=0x" << drained_mask_
-           << std::dec << ")";
-    lock.unlock();
-    reporter->Report(StatusCode::kTimeout, detail.str());
-    throw VariantKilled{};
-  }
-  if (reporter->tripped() || reporter->VariantDead(variant)) {
-    throw VariantKilled{};
-  }
-
-  request.PrimeComparableDigest();
-  requests_[variant] = &request;
-  digests_[variant] = DepositDigest(variant, request);
-  arrived_mask_ |= self_bit;
-
-  // Gather loop. Unlike the seed's "last arriver opens", ANY depositor that
-  // observes the live set fully arrived opens the round — when an excision
-  // shrinks the set mid-gather, the hook's notify re-runs this evaluation on
-  // whoever wakes first (docs/DESIGN.md §9). Everything here runs under
-  // mutex_, which makes the membership/retraction races of the slab
-  // protocol trivial.
-  uint32_t deferred_missing = 0;  // timeout verdict deferred from the last window
-  while (phase_ == Phase::kGather) {
-    if (reporter->tripped()) {
-      throw VariantKilled{};
-    }
-    if (reporter->VariantDead(variant)) {
-      // Excised before the round opened: retract the deposit so the opener
-      // never counts us, then unwind.
-      requests_[variant] = nullptr;
-      digests_[variant] = 0;
-      arrived_mask_ &= ~self_bit;
-      cv_.notify_all();
-      throw VariantKilled{};
-    }
-    const uint32_t live = reporter->live_mask() & full;
-    if ((arrived_mask_ & live) == live) {
-      // Open. Compare in lockstep first (§2); a single outlier may be
-      // excised, anything else is fatal.
-      uint32_t outlier = kNoOutlier;
-      const std::string mismatch = CompareRoundLive(live, &outlier);
-      if (!mismatch.empty()) {
-        bool excised = false;
-        lock.unlock();  // excision hooks take mutex_; reports never under it
-        if (outlier != kNoOutlier) {
-          excised = reporter->ReportVariantFailure(outlier, StatusCode::kDivergence, mismatch);
-        } else {
-          reporter->Report(StatusCode::kDivergence, mismatch);
-        }
-        if (!excised) {
-          throw VariantKilled{};
-        }
-        lock.lock();
-        continue;  // live mask shrank; re-evaluate completeness
-      }
-      // Control-call preprocessing shared by all variants.
-      if (requests_[0]->sysno == Sysno::kClone) {
-        control_retval_ = shared_->next_tid.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Route signals exactly once per round: a kill enqueues for its
-      // target, and anything pending for THIS thread set is latched so
-      // every variant delivers at this same syscall boundary.
-      RouteSignals(*requests_[0], &round_signals_);
-      counters_.Count(klass);
-      if (reporter->excision_probe_armed()) [[unlikely]] {
-        reporter->CompleteExcisionProbe();
-      }
-      round_members_ = live;
-      phase_ = Phase::kExecute;
-      cv_.notify_all();
-      break;
-    }
-    // Lockstep: no variant proceeds until all live variants made an
-    // equivalent call (§2). A sibling that never arrives trips the timeout
-    // and is reported as the stalled party. The live mask is snapshotted per
-    // window so a mid-wait excision (from any thread set) resets the
-    // stragglers' deadline instead of cascading; a missing master is only
-    // declared stuck when it is the sole missing variant across a full
-    // quiet window (it may be collaterally delayed by the same recovery).
-    const uint32_t lv_at_wait = reporter->live_mask() & full;
-    if (!cv_.wait_for(lock, timeout, [&] {
-          if (phase_ != Phase::kGather || reporter->tripped() ||
-              reporter->VariantDead(variant)) {
-            return true;
-          }
-          const uint32_t lv = reporter->live_mask() & full;
-          return (arrived_mask_ & lv) == lv;
-        })) {
-      const uint32_t lv = reporter->live_mask() & full;
-      if (lv != lv_at_wait) {
-        deferred_missing = 0;
-        continue;  // membership changed mid-wait: fresh window
-      }
-      const uint32_t missing = lv & ~arrived_mask_;
-      if (missing == 0) {
-        deferred_missing = 0;
-        continue;  // resolved at the wire
-      }
-      // Same escalation asymmetry as the slab protocol (docs/DESIGN.md §9):
-      // a sole missing slave is excised after one window; an ambiguous
-      // missing set must survive two consecutive windows.
-      const bool sole_missing_slave =
-          std::popcount(missing) == 1 && (missing & 1u) == 0;
-      if (!sole_missing_slave && missing != deferred_missing) {
-        deferred_missing = missing;
-        continue;
-      }
-      deferred_missing = 0;
-      uint32_t pending = missing;
-      bool excised_any = false;
-      bool master_missing = false;
-      lock.unlock();
-      while (pending != 0) {
-        const uint32_t m = static_cast<uint32_t>(std::countr_zero(pending));
-        pending &= pending - 1;
-        if (m == 0) {
-          master_missing = true;
-          continue;
-        }
-        std::ostringstream detail;
-        detail << "thread " << tid_ << ": lockstep rendezvous timeout: variant " << m
-               << " never arrived (variant " << variant << " waiting on "
-               << SysnoName(request.sysno) << " " << request.ToString() << ")";
-        if (!reporter->ReportVariantFailure(m, StatusCode::kTimeout, detail.str())) {
-          throw VariantKilled{};
-        }
-        excised_any = true;
-      }
-      if (master_missing && !excised_any) {
-        std::ostringstream detail;
-        detail << "thread " << tid_ << ": lockstep rendezvous timeout: variant 0"
-               << " never arrived (variant " << variant << " waiting on "
-               << SysnoName(request.sysno) << " " << request.ToString() << ")";
-        // Variant 0 is never excisable: this files the fatal report.
-        reporter->ReportVariantFailure(0, StatusCode::kTimeout, detail.str());
-        throw VariantKilled{};
-      }
-      lock.lock();
-    }
-  }
-
-  // Membership check: deposited, but the round opened without us (excised
-  // mid-gather as the digest outlier, with the retraction racing the open).
-  if ((round_members_ & self_bit) == 0) {
-    DrainMutexLocked(variant);
-    throw VariantKilled{};
-  }
-
-  int64_t retval = 0;
-  if (variant == 0) {
-    lock.unlock();
-    mutex_payload_.Clear();
-    request.payload_pool = &mutex_payload_;
-    progress_[variant].in_master.store(true, std::memory_order_relaxed);
-    SyscallResult result = ExecuteMaster(request, klass, control_retval_);
-    progress_[variant].in_master.store(false, std::memory_order_relaxed);
-    lock.lock();
-    master_result_ = result;
-    master_done_ = true;
-    retval = master_result_.retval;
-    cv_.notify_all();
-  } else {
-    cv_.wait(lock, [&] {
-      return master_done_ || reporter->tripped() || reporter->VariantDead(variant);
-    });
-    if (reporter->tripped()) {
-      throw VariantKilled{};  // fatal: the whole MVEE is unwinding
-    }
-    if (!master_done_ && reporter->VariantDead(variant)) {
-      DrainMutexLocked(variant);
-      throw VariantKilled{};
-    }
-    // Snapshot the round's scalar result so the slave can leave the lock
-    // (the round state may be reset by the time it finishes). The payload
-    // is NOT cloned: the span views mutex_payload_, which is stable until
-    // every variant drained — i.e. past this slave's last read.
-    const SyscallResult master_copy = master_result_;
-    const int64_t round_control_retval = control_retval_;
-    lock.unlock();
-    try {
-      retval = ExecuteSlave(variant, request, klass, master_copy, round_control_retval);
-    } catch (...) {
-      // Excision (or shutdown) mid-replay: drain so survivors can recycle.
-      lock.lock();
-      DrainMutexLocked(variant);
-      throw;
-    }
-    lock.lock();
-  }
-
-  // Copy this round's latched signals before the round state resets; the
-  // caller delivers them once the rendezvous is fully unwound.
-  if (delivered_signals != nullptr) {
-    *delivered_signals = round_signals_;
-  }
-  DrainMutexLocked(variant);
-  return retval;
-}
-
 int64_t ThreadSetMonitor::RunSyscall(uint32_t variant, SyscallRequest& request,
                                      std::vector<int32_t>* delivered_signals) {
   FaultInjector& faults = FaultInjector::Global();
@@ -1475,10 +1161,7 @@ int64_t ThreadSetMonitor::RunSyscall(uint32_t variant, SyscallRequest& request,
   if (shared_->options->sync_model == SyncModel::kLoose) {
     return RunSyscallLoose(variant, request, delivered_signals);
   }
-  if (shared_->options->waitfree_rendezvous) {
-    return RunSyscallSlab(variant, request, delivered_signals);
-  }
-  return RunSyscallMutex(variant, request, delivered_signals);
+  return RunSyscallSlab(variant, request, delivered_signals);
 }
 
 }  // namespace mvee

@@ -30,9 +30,8 @@ namespace mvee {
 // Default for ServerConfig::use_event_loop: on, unless the environment
 // forces the seed's one-at-a-time dispatcher (MVEE_SERVER_EVENT_LOOP=0).
 // The override lets the whole test suite sweep either serving architecture
-// without edits (`MVEE_SERVER_EVENT_LOOP=0 ctest`), mirroring
-// MVEE_SHARDED_VKERNEL / MVEE_WAITFREE_RENDEZVOUS; explicit assignments in
-// code always win.
+// without edits (`MVEE_SERVER_EVENT_LOOP=0 ctest`); explicit assignments
+// in code always win.
 inline bool DefaultServerEventLoop() {
   const char* env = std::getenv("MVEE_SERVER_EVENT_LOOP");
   return env == nullptr || env[0] != '0';

@@ -122,7 +122,7 @@ void FdTable::Ref::PromoteToClientConn(VRef<VConnection> conn) {
 
 void FdTable::Ref::LeakLease() {
   if (!leased_) {
-    return;  // Baseline refs hold no lease; nothing to leak.
+    return;  // Empty (or already leaked): no lease to leak.
   }
   table_->RecordLeakedLease(slot_);
   leased_ = false;  // ~Ref will not release; the reader count stays elevated.
@@ -130,8 +130,7 @@ void FdTable::Ref::LeakLease() {
 
 // --- FdTable -----------------------------------------------------------------
 
-FdTable::FdTable(bool sharded)
-    : sharded_(sharded), next_order_domain_(OrderDomainIds::kFirstFd) {
+FdTable::FdTable() : next_order_domain_(OrderDomainIds::kFirstFd) {
   stdout_file_ = MakeVRef<VFile>();
 
   FdEntry in;
@@ -231,29 +230,10 @@ int32_t FdTable::Dup(int32_t fd) {
   // are copied, not shared descriptions), so it gets its own ordering
   // domain (assigned by Publish).
   FdEntry copy;
-  if (!sharded_) {
-    // Baseline: copy under the table mutex — an unleased Ref would race a
-    // concurrent Close's TearDown (the seed's Dup was fully locked too).
-    // Allocate re-locks afterwards; dup is cold.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd < 0 || fd >= kMaxFds) {
-      return -EBADF;
-    }
-    Slot& slot = slots_[static_cast<size_t>(fd)];
-    if (!LiveState(slot.state.load(std::memory_order_relaxed))) {
-      return -EBADF;
-    }
-    const uintptr_t word = slot.obj_kind.load(std::memory_order_relaxed);
-    copy.kind = KindOf(word);
-    copy.object = ShareVRef(ObjectOf(word));
-    copy.offset = slot.offset.load(std::memory_order_relaxed);
-    copy.flags = slot.flags;
-    copy.path = slot.path;
-    copy.port = slot.port.load(std::memory_order_relaxed);
-  } else {
-    // Sharded: copy under the source's lease FIRST, then allocate — holding
-    // a lease while taking the allocation mutex would deadlock against a
-    // Close that holds the mutex while draining leases.
+  {
+    // Copy under the source's lease FIRST, then allocate — holding a lease
+    // while taking the allocation mutex would deadlock against a Close that
+    // holds the mutex while draining leases.
     Ref source = Get(fd);
     if (!source) {
       return -EBADF;
@@ -274,15 +254,6 @@ FdTable::Ref FdTable::Get(int32_t fd) {
     return Ref{};
   }
   Slot& slot = slots_[static_cast<size_t>(fd)];
-  if (!sharded_) {
-    // Baseline: the seed's one-global-mutex lookup cost, same pointer-until-
-    // Close validity contract.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!LiveState(slot.state.load(std::memory_order_relaxed))) {
-      return Ref{};
-    }
-    return Ref{this, &slot, /*leased=*/false};
-  }
   // Lock-free lease: one acquire RMW in, parity check, one release RMW out
   // (in ~Ref). A transient bump on a free slot never touches the payload.
   const uint64_t state = slot.state.fetch_add(kReaderOne, std::memory_order_acquire);
@@ -290,7 +261,7 @@ FdTable::Ref FdTable::Get(int32_t fd) {
     slot.state.fetch_sub(kReaderOne, std::memory_order_release);
     return Ref{};
   }
-  return Ref{this, &slot, /*leased=*/true};
+  return Ref{this, &slot};
 }
 
 void FdTable::TearDown(Slot& slot, uint64_t state_after_kill) {

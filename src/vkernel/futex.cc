@@ -9,17 +9,15 @@ namespace mvee {
 
 namespace {
 
-// Parked-wait slice for sharded waiters: the unlink-then-wake protocol is
+// Parked-wait slice for futex waiters: the unlink-then-wake protocol is
 // lost-wakeup-free (park.h), so the slice is only the second line of
 // defense; 500us keeps even a hypothetical miss invisible at run scale.
 constexpr auto kFutexParkSlice = std::chrono::microseconds(500);
 
 }  // namespace
 
-// --- Sharded path ------------------------------------------------------------
-
-int64_t FutexTable::WaitSharded(uint64_t logical_addr, const std::atomic<int32_t>* word,
-                                int32_t expected) {
+int64_t FutexTable::Wait(uint64_t logical_addr, const std::atomic<int32_t>* word,
+                         int32_t expected) {
   WaitNode node;
   Shard& shard = ShardFor(logical_addr);
   {
@@ -97,7 +95,10 @@ int64_t FutexTable::WaitSharded(uint64_t logical_addr, const std::atomic<int32_t
   return 0;
 }
 
-int64_t FutexTable::WakeSharded(uint64_t logical_addr, int32_t count) {
+int64_t FutexTable::Wake(uint64_t logical_addr, int32_t count) {
+  if (count <= 0) {
+    return 0;
+  }
   WaitNode* to_wake = nullptr;
   WaitNode** tail_next = &to_wake;
   int64_t woken = 0;
@@ -144,137 +145,53 @@ int64_t FutexTable::WakeSharded(uint64_t logical_addr, int32_t count) {
   return woken;
 }
 
-// --- Baseline path (the seed's global mutex + broadcast condvar) -------------
-
-int64_t FutexTable::WaitGlobal(uint64_t logical_addr, const std::atomic<int32_t>* word,
-                               int32_t expected) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Post-teardown waits must not sleep on a bucket WakeAll already drained.
-  if (registry_ != nullptr && registry_->shutdown()) {
-    return 0;
-  }
-  if (word != nullptr && word->load(std::memory_order_acquire) != expected) {
-    return -EAGAIN;
-  }
-  Bucket& bucket = buckets_[logical_addr];
-  const uint64_t ticket = bucket.next_ticket++;
-  ++bucket.waiters;
-  bucket.cv.wait(lock, [&] { return ticket < bucket.wake_upto; });
-  --bucket.waiters;
-  if (bucket.waiters == 0) {
-    buckets_.erase(logical_addr);  // Unconsumed wake credits die, like futex.
-  }
-  return 0;
-}
-
-int64_t FutexTable::WakeGlobal(uint64_t logical_addr, int32_t count) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = buckets_.find(logical_addr);
-  if (it == buckets_.end()) {
-    return 0;
-  }
-  Bucket& bucket = it->second;
-  const uint64_t unwoken = bucket.next_ticket - bucket.wake_upto;
-  const uint64_t to_wake =
-      static_cast<uint64_t>(count) < unwoken ? static_cast<uint64_t>(count) : unwoken;
-  bucket.wake_upto += to_wake;
-  if (to_wake > 0) {
-    bucket.cv.notify_all();
-  }
-  return static_cast<int64_t>(to_wake);
-}
-
-// --- Common entry points -----------------------------------------------------
-
-int64_t FutexTable::Wait(uint64_t logical_addr, const std::atomic<int32_t>* word,
-                         int32_t expected) {
-  return sharded_ ? WaitSharded(logical_addr, word, expected)
-                  : WaitGlobal(logical_addr, word, expected);
-}
-
-int64_t FutexTable::Wake(uint64_t logical_addr, int32_t count) {
-  if (count <= 0) {
-    return 0;
-  }
-  return sharded_ ? WakeSharded(logical_addr, count) : WakeGlobal(logical_addr, count);
-}
-
 void FutexTable::WakeAll() {
-  if (sharded_) {
-    for (Shard& shard : shards_) {
-      // Collect the addresses first: WakeSharded takes the shard lock itself
-      // and erases entries.
-      std::vector<uint64_t> addrs;
-      {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (const auto& [addr, queue] : shard.queues) {
-          addrs.push_back(addr);
-        }
-      }
-      for (const uint64_t addr : addrs) {
-        WakeSharded(addr, INT32_MAX);
+  for (Shard& shard : shards_) {
+    // Collect the addresses first: Wake takes the shard lock itself and
+    // erases entries.
+    std::vector<uint64_t> addrs;
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      for (const auto& [addr, queue] : shard.queues) {
+        addrs.push_back(addr);
       }
     }
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [addr, bucket] : buckets_) {
-    bucket.wake_upto = bucket.next_ticket;
-    bucket.cv.notify_all();
+    for (const uint64_t addr : addrs) {
+      Wake(addr, INT32_MAX);
+    }
   }
 }
 
 size_t FutexTable::WaiterCount() const {
   size_t total = 0;
-  if (sharded_) {
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const auto& [addr, queue] : shard.queues) {
-        total += static_cast<size_t>(queue.waiters);
-      }
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [addr, queue] : shard.queues) {
+      total += static_cast<size_t>(queue.waiters);
     }
-    return total;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [addr, bucket] : buckets_) {
-    total += static_cast<size_t>(bucket.waiters);
   }
   return total;
 }
 
 size_t FutexTable::BucketCount() const {
   size_t total = 0;
-  if (sharded_) {
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.queues.size();
-    }
-    return total;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.queues.size();
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  return buckets_.size();
+  return total;
 }
 
 std::string FutexTable::DebugString() const {
   std::string out;
   char line[96];
-  if (sharded_) {
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const auto& [addr, queue] : shard.queues) {
-        std::snprintf(line, sizeof(line), "addr=0x%llx waiters=%d; ",
-                      static_cast<unsigned long long>(addr), queue.waiters);
-        out += line;
-      }
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [addr, queue] : shard.queues) {
+      std::snprintf(line, sizeof(line), "addr=0x%llx waiters=%d; ",
+                    static_cast<unsigned long long>(addr), queue.waiters);
+      out += line;
     }
-    return out;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [addr, bucket] : buckets_) {
-    std::snprintf(line, sizeof(line), "addr=0x%llx waiters=%d pending=%d; ",
-                  static_cast<unsigned long long>(addr), bucket.waiters,
-                  static_cast<int>(bucket.next_ticket - bucket.wake_upto));
-    out += line;
   }
   return out;
 }

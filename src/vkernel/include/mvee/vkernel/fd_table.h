@@ -9,14 +9,12 @@
 // Layout (docs/DESIGN.md §7): a fixed, directly-indexed slot array. Each
 // slot carries one generation-tagged state word ([gen:32][readers:32], gen
 // odd = live) and ONE intrusive-refcounted VObject* instead of the seed's
-// four shared_ptr fields. Under the sharded mode the hot lookup path is
-// lock-free: Get() is a reader lease (one fetch_add, one parity check, one
-// fetch_sub at release) that pins the slot against teardown; Close flips the
-// generation so new lookups fail, drains the leases, then reclaims. The
-// mutate paths (allocate/dup/close) serialize on one allocation mutex —
-// they are fd-namespace-ordered by the monitor anyway. The baseline mode
-// (sharded = false) routes every operation, lookups included, through that
-// mutex: the seed's exact cost profile, measurable in-run.
+// four shared_ptr fields. The hot lookup path is lock-free: Get() is a
+// reader lease (one fetch_add, one parity check, one fetch_sub at release)
+// that pins the slot against teardown; Close flips the generation so new
+// lookups fail, drains the leases, then reclaims. The mutate paths
+// (allocate/dup/close) serialize on one allocation mutex — they are
+// fd-namespace-ordered by the monitor anyway.
 
 #ifndef MVEE_VKERNEL_FD_TABLE_H_
 #define MVEE_VKERNEL_FD_TABLE_H_
@@ -31,7 +29,6 @@
 #include "mvee/vkernel/net.h"
 #include "mvee/vkernel/pipe.h"
 #include "mvee/vkernel/vfs.h"
-#include "mvee/vkernel/vkernel_config.h"
 #include "mvee/vkernel/vobject.h"
 
 namespace mvee {
@@ -67,15 +64,15 @@ class FdTable {
   // under a concurrent Get.
   static constexpr int32_t kMaxFds = 1024;
 
-  explicit FdTable(bool sharded = DefaultShardedVkernel());
+  FdTable();
   ~FdTable();
   FdTable(const FdTable&) = delete;
   FdTable& operator=(const FdTable&) = delete;
 
   struct Slot;
 
-  // Leased view of a live descriptor. While a Ref is held (sharded mode) the
-  // slot cannot be torn down: Close drains leases before reclaiming, so the
+  // Leased view of a live descriptor. While a Ref is held the slot cannot be
+  // torn down: Close drains leases before reclaiming, so the
   // object pointer stays valid. Scalar fields that legitimately change on a
   // live descriptor (offset, port, kind on connect, the object on listen)
   // are atomics in the slot; everything else is frozen after allocation.
@@ -139,13 +136,12 @@ class FdTable {
     // Fault injection only (docs/fault_injection.md, leak-fd-lease): forgets
     // to release the lease on destruction, leaving the slot's reader count
     // permanently elevated — a later Close wedges in its drain until
-    // ReleaseAbandonedLeases repairs the count. No-op for unleased refs.
+    // ReleaseAbandonedLeases repairs the count. No-op for an empty Ref.
     void LeakLease();
 
    private:
     friend class FdTable;
-    Ref(FdTable* table, Slot* slot, bool leased)
-        : table_(table), slot_(slot), leased_(leased) {}
+    Ref(FdTable* table, Slot* slot) : table_(table), slot_(slot), leased_(true) {}
     void Release();
 
     FdTable* table_ = nullptr;
@@ -239,8 +235,7 @@ class FdTable {
   // `state_after_kill` is the state word right after the gen flip.
   void TearDown(Slot& slot, uint64_t state_after_kill);
 
-  const bool sharded_;
-  mutable std::mutex mutex_;  // allocation/teardown (every op in baseline)
+  mutable std::mutex mutex_;  // allocation/teardown
   std::array<Slot, kMaxFds> slots_;
   std::array<uint64_t, kMaxFds / 64> live_bitmap_{};
   // Displaced-object parking lot (RetireObject). Own mutex: retirement runs

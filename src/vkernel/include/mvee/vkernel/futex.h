@@ -7,22 +7,19 @@
 // thread finds waiters registered by other master threads even though their
 // diversified virtual addresses differ.
 //
-// Concurrency (docs/DESIGN.md §7): under the sharded mode the table is
-// kFutexShards cache-padded hash shards, each with its own lock over a small
-// address -> bucket map. A bucket is an intrusive FIFO of stack-allocated
-// WaitNodes; the waker unlinks the nodes it targets and releases each
-// through its own ParkingSpot, so one wake never serializes against waits on
-// other addresses (the seed funnelled every address through one mutex and
-// one broadcast condvar). A bucket is reclaimed the moment its last waiter
-// is unlinked — a long-running server no longer retains per-address state
-// for every futex word ever slept on. The seed's global-mutex/condvar
-// implementation survives as the measurable baseline (sharded = false).
+// Concurrency (docs/DESIGN.md §7): the table is kFutexShards cache-padded
+// hash shards, each with its own lock over a small address -> bucket map. A
+// bucket is an intrusive FIFO of stack-allocated WaitNodes; the waker
+// unlinks the nodes it targets and releases them through the shard's
+// ParkingSpot, so one wake never serializes against waits on other
+// addresses. A bucket is reclaimed the moment its last waiter is unlinked —
+// a long-running server retains no per-address state for every futex word
+// ever slept on.
 
 #ifndef MVEE_VKERNEL_FUTEX_H_
 #define MVEE_VKERNEL_FUTEX_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -30,16 +27,14 @@
 
 #include "mvee/util/park.h"
 #include "mvee/util/rng.h"
-#include "mvee/vkernel/vkernel_config.h"
 #include "mvee/vkernel/waitq.h"
 
 namespace mvee {
 
 class FutexTable : public Waitable {
  public:
-  explicit FutexTable(bool sharded = DefaultShardedVkernel(),
-                      WaitRegistry* registry = nullptr, WaitStats* stats = nullptr)
-      : sharded_(sharded), registry_(registry), stats_(stats) {
+  explicit FutexTable(WaitRegistry* registry = nullptr, WaitStats* stats = nullptr)
+      : registry_(registry), stats_(stats) {
     RegisterWaitable(registry);
   }
   // Unregister while the shards/buckets a concurrent ShutdownWake touches
@@ -67,12 +62,10 @@ class FutexTable : public Waitable {
   // return to zero once every waiter left).
   size_t BucketCount() const;
 
-  // "addr=0x... waiters=2 pending=0; ..." — hang diagnostics.
+  // "addr=0x... waiters=2; ..." — hang diagnostics.
   std::string DebugString() const;
 
  private:
-  // --- Sharded implementation ----------------------------------------------
-
   static constexpr size_t kFutexShards = 64;
 
   // One blocked thread; lives on the waiter's stack. The waker unlinks the
@@ -104,29 +97,6 @@ class FutexTable : public Waitable {
     return shards_[SplitMix64(logical_addr) & (kFutexShards - 1)];
   }
 
-  int64_t WaitSharded(uint64_t logical_addr, const std::atomic<int32_t>* word,
-                      int32_t expected);
-  int64_t WakeSharded(uint64_t logical_addr, int32_t count);
-
-  // --- Baseline (the seed's single mutex + broadcast condvar) --------------
-
-  // FIFO-targeted wakeups, like the real futex queue: each waiter takes a
-  // ticket; a wake releases the oldest `count` waiters *registered at wake
-  // time*. A later registrant can never consume a wake issued before it
-  // joined (that un-targeted-credit behaviour loses wakeups: the waiter the
-  // wake was meant for sleeps forever once its expected value is stale).
-  struct Bucket {
-    std::condition_variable cv;
-    uint64_t next_ticket = 0;  // Ticket for the next waiter to register.
-    uint64_t wake_upto = 0;    // Tickets below this are released.
-    int32_t waiters = 0;
-  };
-
-  int64_t WaitGlobal(uint64_t logical_addr, const std::atomic<int32_t>* word,
-                     int32_t expected);
-  int64_t WakeGlobal(uint64_t logical_addr, int32_t count);
-
-  const bool sharded_;
   // Shutdown visibility: a Wait that starts after ShutdownAll ran must not
   // enqueue a node nobody will ever wake (WakeAll already drained the
   // shards), and a parked waiter must cancel itself when the flag rises.
@@ -134,9 +104,6 @@ class FutexTable : public Waitable {
   WaitStats* const stats_;
 
   Shard shards_[kFutexShards];
-
-  mutable std::mutex mutex_;
-  std::map<uint64_t, Bucket> buckets_;
 };
 
 }  // namespace mvee

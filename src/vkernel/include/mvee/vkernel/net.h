@@ -119,12 +119,12 @@ class VListener : public VObject, public Waitable {
   // Client side: enqueues a new connection; fails with -ECONNREFUSED if the
   // listener is closed or the backlog is full.
   int64_t PushConnection(VRef<VConnection> conn);
-  // Server side: blocks until a connection or close. nullptr on close.
-  VRef<VConnection> Accept();
-  // Non-blocking half for wait-queue-driven accepts: pops a pending
-  // connection, or returns nullptr with *closed set when the listener died.
+  // Server side, non-blocking: pops a pending connection, or returns nullptr
+  // with *closed set when the listener died. Blocking accepts park on
+  // waitq() between tries (VirtualKernel::AcceptBlocking).
   VRef<VConnection> TryAccept(bool* closed);
-  // sys_poll readiness: an Accept would not block.
+  // sys_poll readiness: a blocking accept would return at once (a pending
+  // connection, or the listener closed).
   bool HasPending() const;
   void Close();
 
@@ -134,7 +134,6 @@ class VListener : public VObject, public Waitable {
  private:
   const int backlog_;
   mutable std::mutex mutex_;
-  std::condition_variable pending_cv_;
   std::deque<VRef<VConnection>> pending_;
   WaitQueue waitq_;
   bool closed_ = false;

@@ -12,20 +12,15 @@
 
 #include "mvee/vkernel/fd_table.h"
 #include "mvee/vkernel/memory.h"
-#include "mvee/vkernel/vkernel_config.h"
 
 namespace mvee {
 
 class ProcessState {
  public:
   // `heap_base` / `map_base` encode the variant's (simulated) address-space
-  // layout diversity. `sharded_vkernel` selects the descriptor table's
-  // concurrency mode (lock-free leased lookups vs the seed's global mutex);
-  // the monitor passes MveeOptions::sharded_vkernel, standalone constructions
-  // follow the environment default.
-  ProcessState(int32_t pid, uint64_t heap_base, uint64_t map_base,
-               bool sharded_vkernel = DefaultShardedVkernel())
-      : pid_(pid), fds_(sharded_vkernel), address_space_(heap_base, map_base) {}
+  // layout diversity.
+  ProcessState(int32_t pid, uint64_t heap_base, uint64_t map_base)
+      : pid_(pid), address_space_(heap_base, map_base) {}
 
   int32_t pid() const { return pid_; }
   FdTable& fds() { return fds_; }

@@ -5,13 +5,11 @@
 // descriptor table on top (fd_table.h). Open flags follow a small subset of
 // POSIX semantics: create, truncate, append, read/write.
 //
-// Concurrency (docs/DESIGN.md §7): under the sharded mode the path/inode
-// namespace is striped into lock-striped buckets selected by path hash, and
-// every thread keeps a small direct-mapped open-file handle cache so the
-// open() of a hot path (the http server's document, a bench blob) takes no
-// lock at all. Unlink/PutFile bump a generation the caches validate against.
-// The seed's one-mutex-one-map layout survives as the measurable baseline
-// (sharded = false).
+// Concurrency (docs/DESIGN.md §7): the path/inode namespace is striped into
+// lock-striped buckets selected by path hash, and every thread keeps a small
+// direct-mapped open-file handle cache so the open() of a hot path (the http
+// server's document, a bench blob) takes no lock at all. Unlink bumps a
+// generation the caches validate against.
 
 #ifndef MVEE_VKERNEL_VFS_H_
 #define MVEE_VKERNEL_VFS_H_
@@ -23,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "mvee/vkernel/vkernel_config.h"
 #include "mvee/vkernel/vobject.h"
 
 namespace mvee {
@@ -65,7 +62,7 @@ struct VStat {
 // Path -> file map. Flat namespace (no directories); paths are opaque keys.
 class Vfs {
  public:
-  explicit Vfs(bool sharded = DefaultShardedVkernel());
+  Vfs();
 
   // Returns the file, creating it if `create`. nullptr if absent and !create.
   VRef<VFile> Open(const std::string& path, bool create);
@@ -77,8 +74,6 @@ class Vfs {
   // Pre-populates a file (test/bench fixture helper).
   void PutFile(const std::string& path, std::vector<uint8_t> contents);
   size_t FileCount() const;
-
-  bool sharded() const { return sharded_; }
 
  private:
   // Stripe count: power of two, sized so unrelated paths rarely share a
@@ -98,7 +93,6 @@ class Vfs {
   const Stripe& StripeFor(const std::string& path) const;
   VRef<VFile> OpenSlow(const std::string& path, bool create);
 
-  const bool sharded_;
   // Identifies this instance in the thread-local handle caches (instances
   // can be destroyed and reallocated at the same address).
   const uint64_t vfs_id_;

@@ -7,13 +7,11 @@
 // the MVEE its interposition point (paper Figure 1).
 //
 // Concurrency: every shared structure is sharded or lock-free on its hot
-// path under `sharded` (docs/DESIGN.md §7) — striped VFS namespace with a
-// per-thread handle cache, lock-free generation-tagged fd lookups, hashed
-// futex shards with intrusive wait queues, per-thread-set counted RNG
-// streams, and a wait-queue readiness subsystem that poll/accept block on
-// instead of busy-polling. The seed's global-mutex implementations survive
-// as the measurable in-run baseline (sharded = false / MVEE_SHARDED_VKERNEL=0),
-// mirroring MveeOptions::waitfree_rendezvous and sharded_order_domains.
+// path (docs/DESIGN.md §7) — striped VFS namespace with a per-thread handle
+// cache, lock-free generation-tagged fd lookups, hashed futex shards with
+// intrusive wait queues, per-thread-set counted RNG streams, and a
+// wait-queue readiness subsystem that poll/accept block on instead of
+// busy-polling.
 
 #ifndef MVEE_VKERNEL_VKERNEL_H_
 #define MVEE_VKERNEL_VKERNEL_H_
@@ -29,7 +27,6 @@
 #include "mvee/vkernel/net.h"
 #include "mvee/vkernel/process.h"
 #include "mvee/vkernel/vfs.h"
-#include "mvee/vkernel/vkernel_config.h"
 #include "mvee/vkernel/waitq.h"
 
 namespace mvee {
@@ -63,7 +60,7 @@ struct VKernelStatsSnapshot {
 //   clone() -> new kernel tid               sched_yield() -> 0
 class VirtualKernel {
  public:
-  explicit VirtualKernel(uint64_t rng_seed = 42, bool sharded = DefaultShardedVkernel());
+  explicit VirtualKernel(uint64_t rng_seed = 42);
 
   // Executes one syscall for `process`. Thread-safe.
   SyscallResult Execute(ProcessState& process, const SyscallRequest& request);
@@ -73,9 +70,9 @@ class VirtualKernel {
   // critical section (§4.1 forbids ordering blocking calls) while the fd
   // allocation must run inside it, or slave fd tables drift relative to
   // ordered close/open traffic. AcceptBlocking performs only the wait (on
-  // the listener's wait queue under the sharded mode, on the listener's
-  // condvar otherwise); FinishAccept installs the descriptor (fast,
-  // order-section safe).
+  // the listener's wait queue) and fails with -ECONNABORTED once the
+  // listener is closed or the kernel shuts down; FinishAccept installs the
+  // descriptor (fast, order-section safe).
   VRef<VConnection> AcceptBlocking(ProcessState& process, int32_t listen_fd, int64_t* error);
   int64_t FinishAccept(ProcessState& process, VRef<VConnection> conn);
 
@@ -112,7 +109,6 @@ class VirtualKernel {
   VirtualClock& clock() { return clock_; }
   FutexTable& futexes() { return futexes_; }
   WaitRegistry& wait_registry() { return wait_registry_; }
-  bool sharded() const { return sharded_; }
 
   VKernelStatsSnapshot stats() const {
     // Const-correct read of the registry's relaxed counters.
@@ -129,7 +125,6 @@ class VirtualKernel {
   SyscallResult ExecuteMemory(ProcessState& process, const SyscallRequest& request);
   SyscallResult ExecuteNet(ProcessState& process, const SyscallRequest& request);
   SyscallResult ExecutePoll(ProcessState& process, const SyscallRequest& request);
-  SyscallResult ExecutePollLegacy(ProcessState& process, const SyscallRequest& request);
   SyscallResult ExecuteTime(const SyscallRequest& request);
   SyscallResult ExecuteGetrandom(const SyscallRequest& request);
 
@@ -145,14 +140,13 @@ class VirtualKernel {
   // and each stream's sequence depends only on (seed, tid, draw index),
   // which makes traces reproducible regardless of cross-thread timing. The
   // monitor's rendezvous guarantees at most one in-flight syscall per thread
-  // set, so a stream needs no lock at all. Streams beyond the static range
-  // and the non-sharded baseline share rng_ under rng_mutex_.
+  // set, so a stream needs no lock at all. Tids beyond the static range
+  // share rng_ under rng_mutex_.
   static constexpr uint32_t kRngStreams = 256;
   struct alignas(64) RngStream {
     Rng rng;
   };
 
-  const bool sharded_;
   WaitRegistry wait_registry_;
   Vfs vfs_;
   VirtualNetwork network_;

@@ -80,25 +80,9 @@ int64_t VListener::PushConnection(VRef<VConnection> conn) {
       return -ECONNREFUSED;
     }
     pending_.push_back(std::move(conn));
-    pending_cv_.notify_one();
   }
   waitq_.Notify();  // Accepters parked on the listener's queue.
   return 0;
-}
-
-VRef<VConnection> VListener::Accept() {
-  VRef<VConnection> conn;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    pending_cv_.wait(lock, [&] { return !pending_.empty() || closed_; });
-    if (pending_.empty()) {
-      return nullptr;
-    }
-    conn = std::move(pending_.front());
-    pending_.pop_front();
-  }
-  waitq_.Notify();  // Backlog slot freed: clients polling for kOut-ish space.
-  return conn;
 }
 
 VRef<VConnection> VListener::TryAccept(bool* closed) {
@@ -125,7 +109,6 @@ void VListener::Close() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
-    pending_cv_.notify_all();
   }
   waitq_.Notify();
 }

@@ -77,23 +77,17 @@ std::vector<uint8_t> VFile::Contents() const {
   return data_;
 }
 
-Vfs::Vfs(bool sharded)
-    : sharded_(sharded), vfs_id_(next_vfs_id.fetch_add(1, std::memory_order_relaxed)) {}
+Vfs::Vfs() : vfs_id_(next_vfs_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Vfs::Stripe& Vfs::StripeFor(const std::string& path) {
-  // The baseline routes every path through stripe 0: one mutex, one map —
-  // the seed's exact cost profile, measurable in-run against sharding.
-  return stripes_[sharded_ ? FnvHash(path) & (kStripes - 1) : 0];
+  return stripes_[FnvHash(path) & (kStripes - 1)];
 }
 
 const Vfs::Stripe& Vfs::StripeFor(const std::string& path) const {
-  return stripes_[sharded_ ? FnvHash(path) & (kStripes - 1) : 0];
+  return stripes_[FnvHash(path) & (kStripes - 1)];
 }
 
 VRef<VFile> Vfs::Open(const std::string& path, bool create) {
-  if (!sharded_) {
-    return OpenSlow(path, create);
-  }
   const uint64_t hash = FnvHash(path);
   HandleCacheEntry& cached = tls_handle_cache[hash & (kHandleCacheSlots - 1)];
   const uint64_t generation = generation_.load(std::memory_order_acquire);

@@ -45,11 +45,9 @@ void PublishPayload(const SyscallRequest& request, SyscallResult* result, size_t
 
 }  // namespace
 
-VirtualKernel::VirtualKernel(uint64_t rng_seed, bool sharded)
-    : sharded_(sharded),
-      vfs_(sharded),
-      network_(&wait_registry_),
-      futexes_(sharded, &wait_registry_, &wait_registry_.stats()),
+VirtualKernel::VirtualKernel(uint64_t rng_seed)
+    : network_(&wait_registry_),
+      futexes_(&wait_registry_, &wait_registry_.stats()),
       rng_(rng_seed) {
   // One counted stream per logical tid: the sequence a thread set observes
   // depends only on (seed, tid, draw index) — scheduling-independent, and
@@ -157,7 +155,7 @@ SyscallResult VirtualKernel::Execute(ProcessState& process, const SyscallRequest
 
 SyscallResult VirtualKernel::ExecuteGetrandom(const SyscallRequest& request) {
   SyscallResult result;
-  if (sharded_ && request.tid < kRngStreams) {
+  if (request.tid < kRngStreams) {
     // Per-thread-set stream: no lock. The monitor's rendezvous admits one
     // in-flight call per thread set, so stream `tid` is never raced.
     Rng& rng = rng_streams_[request.tid].rng;
@@ -642,16 +640,11 @@ int64_t VirtualKernel::ScanPollSet(ProcessState& process, const SyscallRequest& 
 // non-zero revents byte in the replicated revents payload (one byte per
 // fd, out_payload), 0 on timeout.
 //
-// Sharded mode: readiness is wait-queue-driven — the poller subscribes a
-// Waiter to every waitable fd's queue and parks until one fires, so a pipe
-// write wakes the poll immediately instead of after a sleep quantum. The
-// legacy implementation (scan + 200us sleep) remains the measurable
-// baseline.
+// Readiness is wait-queue-driven: the poller subscribes a Waiter to every
+// waitable fd's queue and parks until one fires, so a pipe write wakes the
+// poll immediately instead of after a sleep quantum.
 SyscallResult VirtualKernel::ExecutePoll(ProcessState& process,
                                          const SyscallRequest& request) {
-  if (!sharded_) {
-    return ExecutePollLegacy(process, request);
-  }
   const auto nfds = static_cast<size_t>(request.arg0);
   if (request.in_data.size() < nfds * 5) {
     return Err(-EINVAL);
@@ -714,47 +707,6 @@ SyscallResult VirtualKernel::ExecutePoll(ProcessState& process,
       continue;
     }
     waiter->Wait(deadline, timed);
-  }
-}
-
-// The seed's polled implementation, kept as the in-run baseline: scan, sleep
-// a 200us quantum, scan again.
-SyscallResult VirtualKernel::ExecutePollLegacy(ProcessState& process,
-                                               const SyscallRequest& request) {
-  const auto nfds = static_cast<size_t>(request.arg0);
-  if (request.in_data.size() < nfds * 5) {
-    return Err(-EINVAL);
-  }
-  const int64_t timeout_ms = request.arg1;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
-
-  SyscallResult result;
-  std::vector<uint8_t> local_revents;
-  uint8_t* revents_buf;
-  if (request.payload_pool != nullptr) {
-    revents_buf = request.payload_pool->Reserve(nfds);
-  } else {
-    local_revents.resize(nfds);
-    revents_buf = local_revents.data();
-  }
-  for (;;) {
-    const int64_t ready = ScanPollSet(process, request, revents_buf, nfds,
-                                      /*waiter=*/nullptr, /*pinned=*/nullptr);
-    const bool timed_out =
-        timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline;
-    if (ready > 0 || timeout_ms == 0 || timed_out || wait_registry_.shutdown()) {
-      if (!request.out_data.empty()) {
-        const size_t count = std::min(nfds, request.out_data.size());
-        std::copy(revents_buf, revents_buf + count, request.out_data.begin());
-      }
-      if (request.payload_pool != nullptr) {
-        result.out_payload = request.payload_pool->view();
-      }
-      result.retval = timed_out && ready == 0 ? 0 : ready;
-      return result;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }
 
@@ -826,16 +778,6 @@ VRef<VConnection> VirtualKernel::AcceptBlocking(ProcessState& process, int32_t l
     listener_ref = entry.ShareObject(view);
   }
   auto* listener = static_cast<VListener*>(listener_ref.get());
-  if (!sharded_) {
-    // Baseline: the listener's internal condvar.
-    auto conn = listener->Accept();
-    if (conn == nullptr) {
-      *error = -ECONNABORTED;
-      return nullptr;
-    }
-    *error = 0;
-    return conn;
-  }
   // Wait-queue-driven accept: try, then subscribe-and-park until a
   // connection arrives, the listener closes, or the MVEE shuts down. The
   // Waiter is armed lazily so an accept with a pending connection (a loaded

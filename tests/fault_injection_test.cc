@@ -7,9 +7,7 @@
 // workload with a seeded fault plan, and assert that (a) the run completes,
 // (b) the survivors' externally visible output is byte-identical to a
 // fault-free run (verdict equivalence), and (c) the report names the excised
-// victim and the failure site. The whole file runs under both rendezvous
-// protocols and both vkernel modes via the CI chaos job's
-// MVEE_WAITFREE_RENDEZVOUS / MVEE_SHARDED_VKERNEL sweep.
+// victim and the failure site.
 
 #include <gtest/gtest.h>
 
@@ -173,20 +171,17 @@ struct ChaosCase {
   StatusCode expected_code;
 };
 
-void RunExcisionCase(uint32_t variants, AgentKind agent, bool waitfree,
-                     const ChaosCase& chaos) {
+void RunExcisionCase(uint32_t variants, AgentKind agent, const ChaosCase& chaos) {
   constexpr uint32_t kThreads = 3;
   constexpr int kIters = 40;
   MveeOptions options = ChaosOptions(variants, chaos.plan);
   options.agent = agent;
-  options.waitfree_rendezvous = waitfree;
   const std::string reference = FaultFreeReference(options, kThreads, kIters);
   ASSERT_FALSE(reference.empty());
 
   Mvee mvee(options);
   const Status status = mvee.Run(CounterProgram(kThreads, kIters));
-  const std::string label = std::string(AgentKindName(agent)) + "/" +
-                            (waitfree ? "slab" : "mutex") + "/" + chaos.plan;
+  const std::string label = std::string(AgentKindName(agent)) + "/" + chaos.plan;
   ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
 
   // Graceful degradation: the survivors produced verdict-equivalent output.
@@ -200,40 +195,33 @@ void RunExcisionCase(uint32_t variants, AgentKind agent, bool waitfree,
   EXPECT_FALSE(excised[0].detail.empty()) << label;
 }
 
-// Kill a variant thread mid-round under every agent kind and both rendezvous
-// protocols: the siblings reap it through the rendezvous timeout and the
-// survivors finish.
-TEST(ChaosSweepTest, CrashedVariantIsExcisedUnderEveryAgentAndProtocol) {
+// Kill a variant thread mid-round under every agent kind: the siblings reap
+// it through the rendezvous timeout and the survivors finish.
+TEST(ChaosSweepTest, CrashedVariantIsExcisedUnderEveryAgent) {
   const ChaosCase chaos{"crash@2:6", FaultSite::kCrashAtSyscall, StatusCode::kTimeout};
   for (AgentKind agent : {AgentKind::kTotalOrder, AgentKind::kPartialOrder,
                           AgentKind::kWallOfClocks, AgentKind::kPerVariableOrder}) {
-    for (bool waitfree : {true, false}) {
-      RunExcisionCase(/*variants=*/3, agent, waitfree, chaos);
-    }
+    RunExcisionCase(/*variants=*/3, agent, chaos);
   }
 }
 
 // A thread stalled through the arrival window looks exactly like a crash to
 // the siblings (it never arrives); when it finally wakes it must observe its
 // own excision and unwind instead of corrupting a recycled round.
-TEST(ChaosSweepTest, StalledVariantIsExcisedUnderBothProtocols) {
+TEST(ChaosSweepTest, StalledVariantIsExcised) {
   // Default stall length = 2x rendezvous_timeout, so the siblings' deadline
   // always expires first.
   const ChaosCase chaos{"stall@2:5", FaultSite::kStallArrival, StatusCode::kTimeout};
-  for (bool waitfree : {true, false}) {
-    RunExcisionCase(/*variants=*/3, AgentKind::kWallOfClocks, waitfree, chaos);
-  }
+  RunExcisionCase(/*variants=*/3, AgentKind::kWallOfClocks, chaos);
 }
 
 // A corrupted digest is a single-outlier divergence: excised immediately at
 // round open, no timeout involved.
-TEST(ChaosSweepTest, DigestOutlierIsExcisedUnderEveryAgentAndProtocol) {
+TEST(ChaosSweepTest, DigestOutlierIsExcisedUnderEveryAgent) {
   const ChaosCase chaos{"digest@2:7", FaultSite::kCorruptDigest, StatusCode::kDivergence};
   for (AgentKind agent : {AgentKind::kTotalOrder, AgentKind::kPartialOrder,
                           AgentKind::kWallOfClocks, AgentKind::kPerVariableOrder}) {
-    for (bool waitfree : {true, false}) {
-      RunExcisionCase(/*variants=*/3, agent, waitfree, chaos);
-    }
+    RunExcisionCase(/*variants=*/3, agent, chaos);
   }
 }
 
@@ -242,8 +230,7 @@ TEST(ChaosSweepTest, FourVariantsDegradeToThree) {
   for (const ChaosCase& chaos :
        {ChaosCase{"crash@2:6", FaultSite::kCrashAtSyscall, StatusCode::kTimeout},
         ChaosCase{"digest@2:7", FaultSite::kCorruptDigest, StatusCode::kDivergence}}) {
-    RunExcisionCase(/*variants=*/4, AgentKind::kTotalOrder,
-                    /*waitfree=*/true, chaos);
+    RunExcisionCase(/*variants=*/4, AgentKind::kTotalOrder, chaos);
   }
 }
 
@@ -354,7 +341,6 @@ TEST(WatchdogTest, DroppedFutexWakeIsRecoveredByNudge) {
 // a hang. The watchdog never needs to fire.
 TEST(WatchdogTest, DroppedWaitqNotifySelfHeals) {
   MveeOptions options = ChaosOptions(2, "drop-waitq-wake:1");
-  options.sharded_vkernel = true;  // wait queues only exist sharded
   Mvee mvee(options);
   const Status status = mvee.Run([](VariantEnv& env) {
     auto [read_fd, write_fd] = env.Pipe();
@@ -378,7 +364,6 @@ TEST(WatchdogTest, DroppedWaitqNotifySelfHeals) {
 // watchdog's nudge releases abandoned leases and the close completes.
 TEST(WatchdogTest, LeakedFdLeaseIsRepairedByNudge) {
   MveeOptions options = ChaosOptions(2, "leak-fd-lease:1");
-  options.sharded_vkernel = true;  // leases only exist sharded
   options.blocked_call_timeout = std::chrono::milliseconds(250);
   Mvee mvee(options);
   const Status status = mvee.Run([](VariantEnv& env) {

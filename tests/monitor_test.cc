@@ -492,13 +492,12 @@ TEST(NativeRunnerTest, ThreadsAndMutexesWork) {
   EXPECT_EQ(total.load(), 400);
 }
 
-// --- Sharded syscall-ordering domains (docs/syscall_ordering.md) ----------
+// --- Syscall-ordering domains (docs/syscall_ordering.md) -------------------
 
 // Descriptor-scoped ordered ops on disjoint fds replay without a shared
 // clock; every variant must still land on identical per-fd offsets.
 TEST(OrderDomainTest, PerFdOpsStayConsistentAcrossVariants) {
   MveeOptions options = DefaultOptions(3);
-  options.sharded_order_domains = true;
   Mvee mvee(options);
   std::mutex mutex;
   // (variant, worker) -> final offset
@@ -542,7 +541,6 @@ TEST(OrderDomainTest, PerFdOpsStayConsistentAcrossVariants) {
 // reclaim every retired domain once replays drain.
 TEST(OrderDomainTest, FdReuseAcrossDomainTeardown) {
   MveeOptions options = DefaultOptions(2);
-  options.sharded_order_domains = true;
   Mvee mvee(options);
   std::mutex mutex;
   std::map<int64_t, std::vector<int64_t>> fds_by_variant;
@@ -578,7 +576,6 @@ TEST(OrderDomainTest, FdReuseAcrossDomainTeardown) {
 TEST(OrderDomainTest, TwoPhaseAcceptVsConcurrentClose) {
   for (int round = 0; round < 3; ++round) {
     MveeOptions options = DefaultOptions(2);
-    options.sharded_order_domains = true;
     options.seed = 7000 + round;
     Mvee mvee(options);
     std::mutex mutex;
@@ -623,9 +620,10 @@ TEST(OrderDomainTest, TwoPhaseAcceptVsConcurrentClose) {
   }
 }
 
-// Sharding is a performance relaxation, not a policy change: the same
-// workloads must produce the same verdicts with the toggle on and off.
-TEST(OrderDomainTest, ToggleOffEquivalence) {
+// Per-resource domains are a performance relaxation, not a policy change: a
+// clean workload stays clean (and stamps its per-fd ops in per-fd domains),
+// a divergent one is still caught.
+TEST(OrderDomainTest, CleanAndDivergentVerdicts) {
   auto clean_workload = [](VariantEnv& env) {
     auto worker = [](const std::string& path) {
       return [path](VariantEnv& wenv) {
@@ -646,23 +644,17 @@ TEST(OrderDomainTest, ToggleOffEquivalence) {
     env.Close(fd);
   };
 
-  for (const bool sharded : {true, false}) {
-    MveeOptions options = DefaultOptions(2);
-    options.sharded_order_domains = sharded;
-    {
-      Mvee mvee(options);
-      const Status status = mvee.Run(clean_workload);
-      EXPECT_TRUE(status.ok()) << "sharded=" << sharded << ": " << status.ToString();
-      if (!sharded) {
-        // The baseline never touches the domain table.
-        EXPECT_EQ(mvee.report().order_domains_created, 0u);
-      }
-    }
-    {
-      Mvee mvee(options);
-      const Status status = mvee.Run(divergent_workload);
-      EXPECT_EQ(status.code(), StatusCode::kDivergence) << "sharded=" << sharded;
-    }
+  const MveeOptions options = DefaultOptions(2);
+  {
+    Mvee mvee(options);
+    const Status status = mvee.Run(clean_workload);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_GT(mvee.report().order_domains_created, 0u);
+  }
+  {
+    Mvee mvee(options);
+    const Status status = mvee.Run(divergent_workload);
+    EXPECT_EQ(status.code(), StatusCode::kDivergence);
   }
 }
 

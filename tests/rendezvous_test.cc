@@ -1,5 +1,5 @@
-// Wait-free rendezvous tests: the round-slab protocol vs the mutex/condvar
-// baseline (MveeOptions::waitfree_rendezvous), failure paths under the slab
+// Wait-free rendezvous tests: the round-slab protocol under many thread sets
+// and variant counts, failure paths under the slab
 // (timeouts with parked waiters, digest divergence), deterministic signal
 // latching, the memoized argument digest, and — via a binary-wide operator
 // new override — the zero-allocation guarantee on the replicated hot path
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -73,11 +72,10 @@ namespace {
 
 constexpr int32_t kSigUsr1 = 10;
 
-MveeOptions Opts(bool waitfree, uint32_t variants = 2) {
+MveeOptions Opts(uint32_t variants = 2) {
   MveeOptions options;
   options.num_variants = variants;
   options.agent = AgentKind::kWallOfClocks;
-  options.waitfree_rendezvous = waitfree;
   options.rendezvous_timeout = std::chrono::milliseconds(20000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(20000);
   return options;
@@ -94,69 +92,64 @@ std::string FileText(VirtualKernel& kernel, const std::string& path) {
 
 // --- Protocol equivalence ----------------------------------------------------
 
-// Many thread sets, many rounds, all four syscall classes in the mix. Both
-// protocols must return a clean verdict AND count the identical number of
-// rounds — the slab is a transport change, not a policy change.
-TEST(RendezvousStressTest, ManyThreadSetsMixedClassesBothProtocols) {
-  std::map<bool, uint64_t> totals;
-  for (const bool waitfree : {true, false}) {
-    MveeOptions options = Opts(waitfree, 2);
-    Mvee mvee(options);
-    mvee.kernel().vfs().PutFile("stress_in", std::vector<uint8_t>(128, 0x5a));
-    const Status status = mvee.Run([](VariantEnv& env) {
-      std::vector<ThreadHandle> handles;
-      for (int t = 0; t < 6; ++t) {
-        handles.push_back(env.Spawn([t](VariantEnv& wenv) {
-          std::vector<uint8_t> buffer(64);
-          const int64_t in_fd = wenv.Open("stress_in", VOpenFlags::kRead);
-          const int64_t out_fd = wenv.Open("stress_out_" + std::to_string(t),
-                                           VOpenFlags::kCreate | VOpenFlags::kWrite);
-          for (int i = 0; i < 30; ++i) {
-            wenv.Read(in_fd, buffer);            // replicated (payload)
-            wenv.Lseek(in_fd, 0, 0 /*SEEK_SET*/);  // ordered
-            wenv.Gettid();                       // local
-            wenv.MveeSelfAware();                // control
-            wenv.GettimeofdayMicros();           // replicated (no payload)
-          }
-          wenv.Write(out_fd, std::string("done ") + std::to_string(t));
-          wenv.Close(out_fd);
-          wenv.Close(in_fd);
-        }));
-      }
-      for (auto handle : handles) {
-        env.Join(handle);
-      }
-    });
-    ASSERT_TRUE(status.ok()) << "waitfree=" << waitfree << ": " << status.ToString();
+// Many thread sets, many rounds, all four syscall classes in the mix. The run
+// must return a clean verdict AND open exactly one round per call the
+// program makes — no round lost, none opened twice.
+TEST(RendezvousStressTest, ManyThreadSetsMixedClasses) {
+  MveeOptions options = Opts(2);
+  Mvee mvee(options);
+  mvee.kernel().vfs().PutFile("stress_in", std::vector<uint8_t>(128, 0x5a));
+  const Status status = mvee.Run([](VariantEnv& env) {
+    std::vector<ThreadHandle> handles;
     for (int t = 0; t < 6; ++t) {
-      EXPECT_EQ(FileText(mvee.kernel(), "stress_out_" + std::to_string(t)),
-                "done " + std::to_string(t));
+      handles.push_back(env.Spawn([t](VariantEnv& wenv) {
+        std::vector<uint8_t> buffer(64);
+        const int64_t in_fd = wenv.Open("stress_in", VOpenFlags::kRead);
+        const int64_t out_fd = wenv.Open("stress_out_" + std::to_string(t),
+                                         VOpenFlags::kCreate | VOpenFlags::kWrite);
+        for (int i = 0; i < 30; ++i) {
+          wenv.Read(in_fd, buffer);            // replicated (payload)
+          wenv.Lseek(in_fd, 0, 0 /*SEEK_SET*/);  // ordered
+          wenv.Gettid();                       // local
+          wenv.MveeSelfAware();                // control
+          wenv.GettimeofdayMicros();           // replicated (no payload)
+        }
+        wenv.Write(out_fd, std::string("done ") + std::to_string(t));
+        wenv.Close(out_fd);
+        wenv.Close(in_fd);
+      }));
     }
-    totals[waitfree] = mvee.report().syscalls.total;
-    EXPECT_GT(totals[waitfree], 6u * 30u * 5u);
+    for (auto handle : handles) {
+      env.Join(handle);
+    }
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (int t = 0; t < 6; ++t) {
+    EXPECT_EQ(FileText(mvee.kernel(), "stress_out_" + std::to_string(t)),
+              "done " + std::to_string(t));
   }
-  // Identical deterministic workload => identical round counts.
-  EXPECT_EQ(totals[true], totals[false]);
+  // Each worker: 2 opens, 30 x 5 loop calls, 1 write, 2 closes, 1 exit.
+  // The main thread: 6 clones and its exit (Join is not a syscall).
+  constexpr uint64_t kWorkerCalls = 2 + 30 * 5 + 1 + 2 + 1;
+  EXPECT_EQ(mvee.report().syscalls.total, 6 * kWorkerCalls + 6 + 1);
 }
 
-// Verdict equivalence on the failure side: the same divergent workload must
-// be killed under both protocols.
-TEST(RendezvousStressTest, DivergentWorkloadKilledUnderBothProtocols) {
-  for (const bool waitfree : {true, false}) {
-    Mvee mvee(Opts(waitfree));
-    const Status status = mvee.Run([](VariantEnv& env) {
-      const int64_t which = env.MveeSelfAware();
-      const int64_t fd = env.Open("d", VOpenFlags::kCreate | VOpenFlags::kWrite);
-      env.Write(fd, which == 0 ? std::string("benign") : std::string("pwned!"));
-      env.Close(fd);
-    });
-    EXPECT_EQ(status.code(), StatusCode::kDivergence) << "waitfree=" << waitfree;
-  }
+// The failure side: a workload whose variants write different bytes must be
+// killed as a divergence.
+TEST(RendezvousStressTest, DivergentWorkloadKilled) {
+  Mvee mvee(Opts());
+  const Status status = mvee.Run([](VariantEnv& env) {
+    const int64_t which = env.MveeSelfAware();
+    const int64_t fd = env.Open("d", VOpenFlags::kCreate | VOpenFlags::kWrite);
+    env.Write(fd, which == 0 ? std::string("benign") : std::string("pwned!"));
+    env.Close(fd);
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDivergence);
 }
 
 TEST(RendezvousStressTest, ThreeAndFourVariantsUnderSlab) {
   for (uint32_t n : {3u, 4u}) {
-    Mvee mvee(Opts(/*waitfree=*/true, n));
+    Mvee mvee(Opts(n));
     mvee.kernel().vfs().PutFile("multi_in", std::vector<uint8_t>(32, 0x17));
     std::atomic<int> consistent{0};
     const Status status = mvee.Run([&](VariantEnv& env) {
@@ -177,31 +170,29 @@ TEST(RendezvousStressTest, ThreeAndFourVariantsUnderSlab) {
 // Deferred signals must land exactly once per round: the round's last arriver
 // latches them into the slab, every variant copies the latch at drain.
 TEST(RendezvousSignalTest, SignalLatchedExactlyOncePerRound) {
-  for (const bool waitfree : {true, false}) {
-    Mvee mvee(Opts(waitfree));
-    const Status status = mvee.Run([](VariantEnv& env) {
-      auto hits = std::make_shared<int>(0);
-      env.Sigaction(kSigUsr1, [hits](VariantEnv&) { ++*hits; });
-      env.Kill(/*tid=*/0, kSigUsr1);
-      // Pump many more rounds: a latch bug (signal re-delivered from a stale
-      // slab, or dropped by a reset) would change the count.
-      for (int i = 0; i < 50; ++i) {
-        env.Gettid();
-      }
-      const int64_t fd = env.Open("sig_once", VOpenFlags::kCreate | VOpenFlags::kWrite);
-      env.Write(fd, std::to_string(*hits));
-      env.Close(fd);
-    });
-    ASSERT_TRUE(status.ok()) << "waitfree=" << waitfree << ": " << status.ToString();
-    EXPECT_EQ(FileText(mvee.kernel(), "sig_once"), "1") << "waitfree=" << waitfree;
-  }
+  Mvee mvee(Opts());
+  const Status status = mvee.Run([](VariantEnv& env) {
+    auto hits = std::make_shared<int>(0);
+    env.Sigaction(kSigUsr1, [hits](VariantEnv&) { ++*hits; });
+    env.Kill(/*tid=*/0, kSigUsr1);
+    // Pump many more rounds: a latch bug (signal re-delivered from a stale
+    // slab, or dropped by a reset) would change the count.
+    for (int i = 0; i < 50; ++i) {
+      env.Gettid();
+    }
+    const int64_t fd = env.Open("sig_once", VOpenFlags::kCreate | VOpenFlags::kWrite);
+    env.Write(fd, std::to_string(*hits));
+    env.Close(fd);
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(FileText(mvee.kernel(), "sig_once"), "1");
 }
 
 // Cross-thread kill with concurrent thread sets active: the signal reaches
 // the target set's next round exactly once, in every variant, while other
 // sets churn rounds through the same slabs.
 TEST(RendezvousSignalTest, CrossThreadKillUnderConcurrentRounds) {
-  Mvee mvee(Opts(/*waitfree=*/true));
+  Mvee mvee(Opts());
   const Status status = mvee.Run([](VariantEnv& env) {
     struct State {
       InstrumentedAtomic<int32_t> hits{0};
@@ -237,7 +228,7 @@ TEST(RendezvousSignalTest, CrossThreadKillUnderConcurrentRounds) {
 // pending_signal_count above zero and silently disable every thread set's
 // lock-free signal-latch fast path for the rest of the run.
 TEST(RendezvousSignalTest, KillAfterTargetExitedIsDropped) {
-  Mvee mvee(Opts(/*waitfree=*/true));
+  Mvee mvee(Opts());
   const Status status = mvee.Run([](VariantEnv& env) {
     struct State {
       InstrumentedAtomic<int32_t> worker_tid{-1};
@@ -270,52 +261,47 @@ TEST(RendezvousSignalTest, KillAfterTargetExitedIsDropped) {
 // the waiting sibling has long since exhausted its spin budget and parked —
 // the parked wait still polls the deadline.
 TEST(RendezvousFailureTest, MissingVariantTripsTimeoutWhileParked) {
-  for (const bool waitfree : {true, false}) {
-    MveeOptions options = Opts(waitfree);
-    options.rendezvous_timeout = std::chrono::milliseconds(300);
-    Mvee mvee(options);
-    const auto start = std::chrono::steady_clock::now();
-    const Status status = mvee.Run([](VariantEnv& env) {
-      if (env.MveeSelfAware() == 0) {
-        env.Stat("x");  // The sibling never arrives at this call...
-      } else {
-        // ... because it stalls without making any syscall.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-      }
-    });
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_EQ(status.code(), StatusCode::kTimeout) << "waitfree=" << waitfree;
-    EXPECT_NE(mvee.report().divergence_detail.find("rendezvous timeout"), std::string::npos)
-        << "waitfree=" << waitfree << ": " << mvee.report().divergence_detail;
-    // The timeout fired from the parked wait, not from the 20s default.
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 5000)
-        << "waitfree=" << waitfree;
-  }
+  MveeOptions options = Opts();
+  options.rendezvous_timeout = std::chrono::milliseconds(300);
+  Mvee mvee(options);
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = mvee.Run([](VariantEnv& env) {
+    if (env.MveeSelfAware() == 0) {
+      env.Stat("x");  // The sibling never arrives at this call...
+    } else {
+      // ... because it stalls without making any syscall.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    }
+  });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(status.code(), StatusCode::kTimeout);
+  EXPECT_NE(mvee.report().divergence_detail.find("rendezvous timeout"), std::string::npos)
+      << mvee.report().divergence_detail;
+  // The timeout fired from the parked wait, not from the 20s default.
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 5000);
 }
 
 // A mismatched digest kills the MVEE with an actionable report naming the
 // mismatching call.
 TEST(RendezvousFailureTest, DigestMismatchKillsWithUsefulReport) {
-  for (const bool waitfree : {true, false}) {
-    Mvee mvee(Opts(waitfree));
-    const Status status = mvee.Run([](VariantEnv& env) {
-      const int64_t which = env.MveeSelfAware();
-      const int64_t fd = env.Open("m", VOpenFlags::kCreate | VOpenFlags::kWrite);
-      env.Write(fd, which == 0 ? std::string("aaaa") : std::string("bbbb"));
-      env.Close(fd);
-    });
-    EXPECT_EQ(status.code(), StatusCode::kDivergence) << "waitfree=" << waitfree;
-    const std::string& detail = mvee.report().divergence_detail;
-    EXPECT_NE(detail.find("argument mismatch"), std::string::npos) << detail;
-    EXPECT_NE(detail.find("sys_write"), std::string::npos) << detail;
-  }
+  Mvee mvee(Opts());
+  const Status status = mvee.Run([](VariantEnv& env) {
+    const int64_t which = env.MveeSelfAware();
+    const int64_t fd = env.Open("m", VOpenFlags::kCreate | VOpenFlags::kWrite);
+    env.Write(fd, which == 0 ? std::string("aaaa") : std::string("bbbb"));
+    env.Close(fd);
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDivergence);
+  const std::string& detail = mvee.report().divergence_detail;
+  EXPECT_NE(detail.find("argument mismatch"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("sys_write"), std::string::npos) << detail;
 }
 
 // No lost wakeups with parked waiters: one variant repeatedly arrives late
 // enough that the other exhausts its spin budget and parks, and every round
 // still completes (a dropped wake would surface as a rendezvous timeout).
 TEST(RendezvousFailureTest, ParkedWaiterWakesWhenLatePeerArrives) {
-  Mvee mvee(Opts(/*waitfree=*/true));
+  Mvee mvee(Opts());
   const Status status = mvee.Run([](VariantEnv& env) {
     const bool laggard = env.MveeSelfAware() == 1;
     for (int i = 0; i < 5; ++i) {
@@ -333,7 +319,7 @@ TEST(RendezvousFailureTest, ParkedWaiterWakesWhenLatePeerArrives) {
 // slaves must pick up the published result promptly, not via slice polling
 // of a stale ticket (which a lost wake would degrade to).
 TEST(RendezvousFailureTest, ParkedSlaveSeesLateMasterResult) {
-  Mvee mvee(Opts(/*waitfree=*/true, 3));
+  Mvee mvee(Opts(3));
   std::atomic<int> agreed{0};
   const Status status = mvee.Run([&](VariantEnv& env) {
     for (int i = 0; i < 3; ++i) {
@@ -378,7 +364,7 @@ TEST(ComparableDigestMemoTest, UnprimedRecomputesPrimedFreezes) {
 // a replicated-read storm must not allocate at all — the payload lives in
 // the slab's pooled arena and slaves copy spans, not vectors.
 TEST(RendezvousAllocationTest, LockstepReplicatedReadHotPathIsAllocationFree) {
-  MveeOptions options = Opts(/*waitfree=*/true);
+  MveeOptions options = Opts();
   Mvee mvee(options);
   mvee.kernel().vfs().PutFile("blob", std::vector<uint8_t>(64, 0xab));
   std::atomic<uint64_t> allocations{0};
@@ -441,7 +427,7 @@ TEST(RendezvousAllocationTest, DisarmedFaultSitesAreFree) {
 // Loose mode: the ring's pooled records (no shared_ptr churn) and pooled
 // payloads make the leader/follower steady state allocation-free too.
 TEST(RendezvousAllocationTest, LooseHotPathIsAllocationFree) {
-  MveeOptions options = Opts(/*waitfree=*/true);
+  MveeOptions options = Opts();
   options.sync_model = SyncModel::kLoose;
   options.loose_buffer_depth = 8;  // Small pool: warmup touches every record.
   Mvee mvee(options);

@@ -103,14 +103,6 @@ TEST(HttpServerTest, UninstrumentedCustomSyncDivergesUnderLoad) {
     options.rendezvous_timeout = std::chrono::milliseconds(15000);
     options.agent_config.replay_deadline = std::chrono::milliseconds(15000);
     options.seed = 77 + round;
-    // This demonstration needs scheduler-driven wakeup nondeterminism to
-    // expose the race. The wait-free rendezvous's spin-yield handoff resumes
-    // variant threads in an identical order every round on small hosts,
-    // which (deliberately) suppresses exactly the benign-divergence noise
-    // this test fishes for — so run it on the mutex baseline. The same
-    // uninstrumented-sync divergence property under the wait-free protocol
-    // is covered by MveeSyncTest.UninstrumentedRacyOrderEventuallyDiverges.
-    options.waitfree_rendezvous = false;
     Mvee mvee(options);
 
     ServerConfig config = SmallServer(static_cast<uint16_t>(8090 + round),

@@ -1,7 +1,6 @@
 // Unit tests for the virtual kernel substrate: VFS, fd tables, pipes, the
 // virtual network, address spaces, futexes, the wait-queue readiness layer,
-// and the syscall executor — including the sharded/baseline toggle
-// (MveeOptions::sharded_vkernel, docs/DESIGN.md §7).
+// and the syscall executor (docs/DESIGN.md §7).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +20,26 @@ namespace {
 
 std::span<const uint8_t> Bytes(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+// socket + bind + listen on `port` through the syscall executor; returns the
+// listening descriptor.
+int32_t ListenOn(VirtualKernel& kernel, ProcessState& process, uint16_t port) {
+  SyscallRequest socket;
+  socket.sysno = Sysno::kSocket;
+  const int64_t sfd = kernel.Execute(process, socket).retval;
+  EXPECT_GE(sfd, 0);
+  SyscallRequest bind;
+  bind.sysno = Sysno::kBind;
+  bind.arg0 = sfd;
+  bind.arg1 = port;
+  EXPECT_EQ(kernel.Execute(process, bind).retval, 0);
+  SyscallRequest listen;
+  listen.sysno = Sysno::kListen;
+  listen.arg0 = sfd;
+  listen.arg1 = 8;
+  EXPECT_EQ(kernel.Execute(process, listen).retval, 0);
+  return static_cast<int32_t>(sfd);
 }
 
 TEST(VfsTest, OpenCreateReadWrite) {
@@ -53,11 +72,11 @@ TEST(VfsTest, StatAndUnlink) {
   EXPECT_EQ(vfs.Unlink("a"), -ENOENT);
 }
 
-// The sharded VFS keeps a per-thread open-file handle cache; an unlink must
+// The VFS keeps a per-thread open-file handle cache; an unlink must
 // invalidate it so a re-created path resolves to the fresh file, not the
 // cached dead one.
 TEST(VfsTest, UnlinkInvalidatesHandleCache) {
-  Vfs vfs(/*sharded=*/true);
+  Vfs vfs;
   vfs.PutFile("doc", {'o', 'l', 'd'});
   auto cached = vfs.Open("doc", false);  // Warms this thread's cache.
   ASSERT_NE(cached, nullptr);
@@ -72,7 +91,7 @@ TEST(VfsTest, UnlinkInvalidatesHandleCache) {
 }
 
 TEST(VfsTest, StripedNamespaceCountsAcrossStripes) {
-  Vfs vfs(/*sharded=*/true);
+  Vfs vfs;
   for (int i = 0; i < 64; ++i) {
     vfs.PutFile("file_" + std::to_string(i), {static_cast<uint8_t>(i)});
   }
@@ -121,7 +140,7 @@ TEST(FdTableTest, DupCopiesEntry) {
 }
 
 TEST(FdTableTest, GenerationTagInvalidatesAcrossReuse) {
-  FdTable fds(/*sharded=*/true);
+  FdTable fds;
   FdEntry entry;
   entry.kind = FdKind::kFile;
   entry.object = MakeVRef<VFile>();
@@ -198,10 +217,14 @@ TEST(NetTest, ListenConnectAcceptEcho) {
   ASSERT_EQ(network.Listen(8080, 16, &listener), 0);
   EXPECT_EQ(network.Listen(8080, 16, &listener), -EADDRINUSE);
 
+  bool closed = true;
+  EXPECT_EQ(listener->TryAccept(&closed), nullptr);  // Nothing pending yet.
+  EXPECT_FALSE(closed);
   auto client_conn = network.Connect(8080);
   ASSERT_NE(client_conn, nullptr);
-  auto server_conn = listener->Accept();
+  auto server_conn = listener->TryAccept(&closed);
   ASSERT_EQ(server_conn, client_conn);
+  EXPECT_FALSE(closed);
 
   client_conn->ClientWrite(Bytes("ping").data(), 4);
   uint8_t buffer[8] = {};
@@ -216,14 +239,28 @@ TEST(NetTest, ConnectToClosedPortFails) {
   EXPECT_EQ(network.Connect(9999), nullptr);
 }
 
+// A blocking accept parked on the listener's wait queue is released by the
+// listener closing, with -ECONNABORTED.
 TEST(NetTest, CloseAllUnblocksAccept) {
-  VirtualNetwork network;
-  VRef<VListener> listener;
-  ASSERT_EQ(network.Listen(80, 4, &listener), 0);
-  std::thread acceptor([&] { EXPECT_EQ(listener->Accept(), nullptr); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  network.CloseAll();
+  VirtualKernel kernel;
+  ProcessState process(1000, 0x10000, 0x100000);
+  const int32_t sfd = ListenOn(kernel, process, 80);
+  const uint64_t waits_before = kernel.stats().waitq_waits;
+  std::atomic<int64_t> accept_error{1};
+  std::thread acceptor([&] {
+    int64_t error = 0;
+    EXPECT_EQ(kernel.AcceptBlocking(process, sfd, &error), nullptr);
+    accept_error.store(error);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (kernel.stats().waitq_waits == waits_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(accept_error.load(), 1);  // Parked, not returned.
+  kernel.network().CloseAll();
   acceptor.join();
+  EXPECT_EQ(accept_error.load(), -ECONNABORTED);
 }
 
 TEST(AddressSpaceTest, BrkQueryAndMove) {
@@ -267,12 +304,10 @@ TEST(AddressSpaceTest, DistinctBasesGiveDistinctAddresses) {
   EXPECT_EQ(addr_a - 0x100000, addr_b - 0x500000);
 }
 
-// --- Futex table (both concurrency modes) ---
+// --- Futex table ---
 
-class FutexModeTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FutexModeTest, WakeReleasesWaiter) {
-  FutexTable futexes(GetParam());
+TEST(FutexTest, WakeReleasesWaiter) {
+  FutexTable futexes;
   std::atomic<int32_t> word{1};
   std::atomic<bool> woke{false};
   std::thread waiter([&] {
@@ -288,21 +323,21 @@ TEST_P(FutexModeTest, WakeReleasesWaiter) {
   EXPECT_TRUE(woke.load());
 }
 
-TEST_P(FutexModeTest, ValueMismatchReturnsEagain) {
-  FutexTable futexes(GetParam());
+TEST(FutexTest, ValueMismatchReturnsEagain) {
+  FutexTable futexes;
   std::atomic<int32_t> word{2};
   EXPECT_EQ(futexes.Wait(0x1, &word, 1), -EAGAIN);
 }
 
-TEST_P(FutexModeTest, WakeWithNoWaitersReturnsZero) {
-  FutexTable futexes(GetParam());
+TEST(FutexTest, WakeWithNoWaitersReturnsZero) {
+  FutexTable futexes;
   EXPECT_EQ(futexes.Wake(0x9, 10), 0);
   // A wake on a never-slept address must not materialize a bucket.
   EXPECT_EQ(futexes.BucketCount(), 0u);
 }
 
-TEST_P(FutexModeTest, WakeAllReleasesEveryone) {
-  FutexTable futexes(GetParam());
+TEST(FutexTest, WakeAllReleasesEveryone) {
+  FutexTable futexes;
   std::atomic<int32_t> word{5};
   std::vector<std::thread> waiters;
   for (int i = 0; i < 3; ++i) {
@@ -320,8 +355,8 @@ TEST_P(FutexModeTest, WakeAllReleasesEveryone) {
 
 // A long-running server must not retain one bucket per futex word ever slept
 // on: buckets are reclaimed the moment their last waiter is released.
-TEST_P(FutexModeTest, BucketsReclaimedAtZeroWaiters) {
-  FutexTable futexes(GetParam());
+TEST(FutexTest, BucketsReclaimedAtZeroWaiters) {
+  FutexTable futexes;
   constexpr int kAddrs = 16;
   std::atomic<int32_t> word{0};
   std::vector<std::thread> waiters;
@@ -341,11 +376,6 @@ TEST_P(FutexModeTest, BucketsReclaimedAtZeroWaiters) {
   EXPECT_EQ(futexes.WaiterCount(), 0u);
   EXPECT_EQ(futexes.BucketCount(), 0u) << futexes.DebugString();
 }
-
-INSTANTIATE_TEST_SUITE_P(ShardedAndGlobal, FutexModeTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "sharded" : "global";
-                         });
 
 // --- Syscall executor ---
 
@@ -448,8 +478,8 @@ TEST_F(VirtualKernelTest, GetrandomIsDeterministicPerSeed) {
 // counted streams (no shared lock), and the same tid is reproducible across
 // kernels regardless of what other tids drew in between.
 TEST_F(VirtualKernelTest, GetrandomStreamsArePerTidAndOrderIndependent) {
-  VirtualKernel kernel_a(7, /*sharded=*/true);
-  VirtualKernel kernel_b(7, /*sharded=*/true);
+  VirtualKernel kernel_a(7);
+  VirtualKernel kernel_b(7);
   ProcessState process_a(1, 0x1000, 0x10000);
   ProcessState process_b(1, 0x1000, 0x10000);
   std::vector<uint8_t> tid1_a(16), tid2_a(16), tid1_b(16), noise(16);
@@ -564,8 +594,8 @@ TEST_F(VirtualKernelTest, ComparableDigestCoversPayload) {
 
 class WaitQueueKernelTest : public ::testing::Test {
  protected:
-  VirtualKernel kernel_{42, /*sharded=*/true};
-  ProcessState process_{1000, 0x10000, 0x100000, /*sharded_vkernel=*/true};
+  VirtualKernel kernel_{42};
+  ProcessState process_{1000, 0x10000, 0x100000};
 
   std::pair<int32_t, int32_t> MakePipe() {
     SyscallRequest pipe;
@@ -675,25 +705,12 @@ TEST_F(WaitQueueKernelTest, FdReuseAcrossCloseOpenRacingPoll) {
 // AcceptBlocking with nothing pending must park on the listener's wait queue
 // and be released by ShutdownBlockedCalls — the one-registry teardown drain.
 TEST_F(WaitQueueKernelTest, ShutdownBlockedCallsWakesAccept) {
-  SyscallRequest socket;
-  socket.sysno = Sysno::kSocket;
-  const int64_t sfd = kernel_.Execute(process_, socket).retval;
-  ASSERT_GE(sfd, 0);
-  SyscallRequest bind;
-  bind.sysno = Sysno::kBind;
-  bind.arg0 = sfd;
-  bind.arg1 = 7777;
-  ASSERT_EQ(kernel_.Execute(process_, bind).retval, 0);
-  SyscallRequest listen;
-  listen.sysno = Sysno::kListen;
-  listen.arg0 = sfd;
-  listen.arg1 = 8;
-  ASSERT_EQ(kernel_.Execute(process_, listen).retval, 0);
+  const int32_t sfd = ListenOn(kernel_, process_, 7777);
 
   std::atomic<int64_t> accept_error{1};
   std::thread acceptor([&] {
     int64_t error = 0;
-    auto conn = kernel_.AcceptBlocking(process_, static_cast<int32_t>(sfd), &error);
+    auto conn = kernel_.AcceptBlocking(process_, sfd, &error);
     EXPECT_EQ(conn, nullptr);
     accept_error.store(error);
   });
@@ -723,13 +740,13 @@ TEST_F(WaitQueueKernelTest, RegistrySlotsAreReusedUnderPipeChurn) {
             1u);  // The futex table's own registration.
 }
 
-// --- Toggle equivalence: the sharded kernel and the baseline must produce
-// identical program-visible behaviour under a full MVEE run ---
+// --- Full MVEE runs over the virtual kernel ---
 
-std::string ShardedSweepResult(bool sharded_vkernel) {
+// Drives files, pipes, poll, getrandom and the network through one 2-variant
+// run and returns what the program wrote to sweep_out.
+std::string KernelSweepResult() {
   MveeOptions options;
   options.num_variants = 2;
-  options.sharded_vkernel = sharded_vkernel;
   Mvee mvee(options);
   mvee.kernel().vfs().PutFile("sweep_in", std::vector<uint8_t>(48, 0x5a));
   const Status status = mvee.Run([](VariantEnv& env) {
@@ -755,8 +772,7 @@ std::string ShardedSweepResult(bool sharded_vkernel) {
     out += std::to_string(env.Read(rfd, buffer)) + ",";
     env.Close(rfd);
     env.Close(wfd);
-    // Randomness: the value is mode-dependent (per-tid streams vs the global
-    // stream) but the shape is not; record only the length.
+    // Randomness: record only the length; the bytes depend on the seed.
     out += std::to_string(env.Getrandom(buffer)) + ",";
     // Network echo through listener/connect/accept.
     const int64_t server = env.Socket();
@@ -774,7 +790,7 @@ std::string ShardedSweepResult(bool sharded_vkernel) {
     env.Write(result, out);
     env.Close(result);
   });
-  EXPECT_TRUE(status.ok()) << status.ToString() << " (sharded=" << sharded_vkernel << ")";
+  EXPECT_TRUE(status.ok()) << status.ToString();
   auto file = mvee.kernel().vfs().Open("sweep_out", false);
   if (file == nullptr) {
     return "<missing>";
@@ -783,19 +799,18 @@ std::string ShardedSweepResult(bool sharded_vkernel) {
   return std::string(contents.begin(), contents.end());
 }
 
-TEST(ShardedVkernelToggleTest, VerdictAndOutputEquivalence) {
-  const std::string sharded = ShardedSweepResult(true);
-  const std::string baseline = ShardedSweepResult(false);
-  EXPECT_FALSE(sharded.empty());
-  EXPECT_EQ(sharded, baseline);
+// Clean verdict, and the program-visible results match a fixed oracle: read
+// 16 bytes, seek to 0, dup onto fd 4, stat 48 bytes, poll one fd ready with
+// kIn, read the 5 piped bytes, draw 16 random bytes, connect, receive 5.
+TEST(VkernelMveeRunTest, VerdictAndOutputMatchOracle) {
+  EXPECT_EQ(KernelSweepResult(), "16,0,4,48,1,1,5,16,0,5,");
 }
 
 // Wait-queue wakeups must be visible in the run report when a poll blocks
 // across a rendezvous (the "no more spin-polling" acceptance signal).
-TEST(ShardedVkernelToggleTest, ReportExposesWaitQueueWakeups) {
+TEST(VkernelMveeRunTest, ReportExposesWaitQueueWakeups) {
   MveeOptions options;
   options.num_variants = 2;
-  options.sharded_vkernel = true;
   Mvee mvee(options);
   const Status status = mvee.Run([](VariantEnv& env) {
     auto [rfd, wfd] = env.Pipe();
