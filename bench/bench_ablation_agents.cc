@@ -17,8 +17,7 @@ using namespace mvee::bench;
 
 double RunWithConfig(const WorkloadConfig& config, double scale, AgentKind agent,
                      size_t clock_count, size_t buffer_capacity,
-                     size_t po_window = 1 << 12, uint64_t* replay_stalls = nullptr,
-                     bool sharded_recording = DefaultShardedRecording()) {
+                     size_t po_window = 1 << 12, uint64_t* replay_stalls = nullptr) {
   MveeOptions options;
   options.num_variants = 2;
   options.agent = agent;
@@ -28,7 +27,6 @@ double RunWithConfig(const WorkloadConfig& config, double scale, AgentKind agent
   options.agent_config.clock_count = clock_count;
   options.agent_config.buffer_capacity = buffer_capacity;
   options.agent_config.po_window = po_window;
-  options.agent_config.sharded_recording = sharded_recording;
   Mvee mvee(options);
   const bool ok = mvee.Run(MakeWorkloadProgram(config, scale)).ok();
   if (replay_stalls != nullptr) {
@@ -111,11 +109,9 @@ int main() {
   // (A moderate-sync-rate kernel: on the heaviest stand-ins, window <= 4
   // serializes ~1M ops through spin handoffs and trips the replay deadline
   // on this host — the PO scalability pathology in its purest form.)
-  // Pinned to the sharded recording path: the master-side window gate
-  // (GateOnReplayWindow, docs/DESIGN.md §8) bounds record run-ahead against
-  // the slaves' min replayed prefix, so po_window is enforced — and this
-  // sweep is meaningful — even without the global record lock's natural
-  // backpressure.
+  // The master-side window gate (GateOnReplayWindow, docs/DESIGN.md §8)
+  // bounds record run-ahead against the slaves' min replayed prefix, which
+  // is how po_window is enforced on the ticketed recording path.
   {
     const WorkloadConfig* moderate = FindWorkload("streamcluster");
     const NativeRun base = RunNative(*moderate, scale);
@@ -123,8 +119,7 @@ int main() {
     for (size_t window : {1UL, 4UL, 64UL, 1024UL, 4096UL}) {
       uint64_t stalls = 0;
       const double seconds = RunWithConfig(*moderate, scale, AgentKind::kPartialOrder,
-                                           4096, 1 << 16, window, &stalls,
-                                           /*sharded_recording=*/true);
+                                           4096, 1 << 16, window, &stalls);
       if (seconds < 0) {
         std::printf("po_window=%-6zu  TIMEOUT (replay deadline; TO-like serialization "
                     "too slow at this op rate)\n", window);
@@ -161,25 +156,5 @@ int main() {
     std::printf("\n");
   }
 
-  PrintHeader("Ablation 7: TO/PO recording path — ticketed per-thread rings vs global lock");
-  // AgentConfig::sharded_recording (docs/DESIGN.md §8): the same workloads
-  // replicated through both recording paths in one run. The baseline's
-  // single master lock serializes every recorded op; the sharded path's
-  // only global touch is one fetch_add per op, and the PO slave's window
-  // scan collapses to an O(1) recorded-edge check.
-  for (const auto* config : {contended, queued}) {
-    const NativeRun base = RunNative(*config, scale);
-    std::printf("%-14s native=%.3fs", config->name, base.seconds);
-    for (AgentKind agent : {AgentKind::kTotalOrder, AgentKind::kPartialOrder}) {
-      for (bool sharded : {false, true}) {
-        const double seconds = RunWithConfig(*config, scale, agent, 4096, 1 << 16,
-                                             1 << 12, nullptr, sharded);
-        std::printf("  %s/%s=%.2fx", AgentKindName(agent), sharded ? "sharded" : "locked",
-                    base.seconds > 0 && seconds > 0 ? seconds / base.seconds : 0);
-        std::fflush(stdout);
-      }
-    }
-    std::printf("\n");
-  }
   return 0;
 }

@@ -2,8 +2,8 @@
 //
 // The workload drives the virtual kernel directly from 2 variant processes x
 // 8 threads (isolating the kernel's own locks from rendezvous cost, the way
-// bench_ring_throughput isolates the ring). Each thread runs an nginx-style
-// event-loop step against its partner thread:
+// bench_agents_micro's BM_RingPushPop isolates the ring). Each thread runs
+// an nginx-style event-loop step against its partner thread:
 //
 //   - readiness handoff: write one byte into the outgoing pipe, poll the
 //     incoming pipe (infinite timeout), read the byte. The poll parks on

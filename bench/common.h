@@ -118,7 +118,7 @@ inline MveeRun RunUnderMvee(const WorkloadConfig& config, double scale, uint32_t
 
 struct AgentBenchResult {
   std::string kind;            // AgentKindName(...)
-  std::string mode;            // e.g. "cached" / "uncached"
+  std::string mode;            // e.g. "cached" / "record-sharded-8t"
   double ops_per_sec = 0.0;    // master record-path sync ops per second
   uint64_t record_stalls = 0;
   uint64_t replay_stalls = 0;

@@ -1,33 +1,29 @@
 // Partial-order (PO) replication agent (paper §4.5, Figure 4b).
 //
-// The master records (thread, sync-variable key) pairs; slaves only enforce
-// the recorded order between *dependent* ops — ops on the same sync
-// variable. A slave thread locates its next entry and may execute as soon as
-// every unconsumed earlier entry with the same key has been consumed. This
-// eliminates TO's unnecessary stalls at the cost of dependence scans and
-// extra memory pressure (§4.5).
+// The master records the order of sync ops; slaves only enforce the
+// recorded order between *dependent* ops — ops on the same sync variable. A
+// slave thread may execute its next op as soon as every earlier op on the
+// same variable has been replayed. This eliminates TO's unnecessary stalls
+// (§4.5).
 //
-// Two recording paths (AgentConfig::sharded_recording, docs/DESIGN.md §8):
-//  - Sharded (default): per-master-thread recording rings; entries carry a
-//    global sequence drawn from one fetch_add ticket counter inside a
-//    per-sync-variable shard lock, so the sequence order is a linear
-//    extension of the conflict order and the global master lock is gone.
-//    Because the shard lock is held while the ticket is drawn, the master
-//    knows each op's immediate same-shard predecessor for free and records
-//    the edge (prev_tid, prev_seq) in the entry. Slave thread t's next
-//    entry is its own ring's front, and the dependence wait is O(1): wait
-//    until thread prev_tid's consumed-watermark (the sequence it publishes
-//    after every replayed op) passes prev_seq — no window scan at all,
-//    where the baseline scans O(po_window) entries per op. The watermark
-//    is a dedicated per-thread atomic, NOT a peek into the predecessor's
-//    ring: a cross-thread peek races that ring's cursor advance and could
-//    read a recycled slot's (much larger) sequence, wrongly releasing the
-//    waiter. Shard collisions merge chains of distinct variables, which
-//    over-serializes exactly like WoC's hash collisions (§4.5) and is just
-//    as benign.
-//  - Global-lock baseline (sharded_recording = false): the seed's single
-//    global buffer under one instrumentation lock, with the po_window
-//    lookahead scan. Kept selectable for in-run A/B sweeps.
+// Recording (docs/DESIGN.md §8): per-master-thread recording rings; entries
+// carry a global sequence drawn from one fetch_add ticket counter inside a
+// per-sync-variable shard lock, so the sequence order is a linear extension
+// of the conflict order and no global master lock sits on the hot path.
+// Because the shard lock is held while the ticket is drawn, the master
+// knows each op's immediate same-shard predecessor for free and records the
+// edge (prev_tid, prev_seq) in the entry. Slave thread t's next entry is its
+// own ring's front, and the dependence wait is O(1): wait until thread
+// prev_tid's consumed-watermark (the sequence it publishes after every
+// replayed op) passes prev_seq — no window scan at all, where the paper's
+// agent scans O(po_window) entries per op. The watermark is a dedicated
+// per-thread atomic, NOT a peek into the predecessor's ring: a cross-thread
+// peek races that ring's cursor advance and could read a recycled slot's
+// (much larger) sequence, wrongly releasing the waiter. Shard collisions
+// merge chains of distinct variables, which over-serializes exactly like
+// WoC's hash collisions (§4.5) and is just as benign. The paper's lookahead
+// window survives as a master-side bound (GateOnReplayWindow): recording
+// runs at most po_window sequences ahead of the slowest slave's replay.
 
 #ifndef MVEE_AGENTS_PARTIAL_ORDER_H_
 #define MVEE_AGENTS_PARTIAL_ORDER_H_
@@ -56,14 +52,13 @@ class PartialOrderRuntime {
   void DetachVariant(uint32_t variant);
 
   const AgentStats& stats() const { return stats_; }
-  // Tickets drawn so far (sharded mode; 0 under the global-lock baseline).
+  // Tickets drawn so far.
   uint64_t SequencesIssued() const { return record_shards_.TicketsIssued(); }
-  bool sharded_recording() const { return config_.sharded_recording; }
   // Per-thread recording rings materialized so far (lazy allocation).
   uint64_t RecordingRingsCreated() const { return thread_rings_.CreatedCount(); }
-  // Sharded mode: every sequence below the returned value has been replayed
-  // by slave `variant` (folds the watermark first). Exposed for the po_window
-  // test; 0 under the baseline or for out-of-range variants.
+  // Every sequence below the returned value has been replayed by slave
+  // `variant` (folds the watermark first). Exposed for the po_window test;
+  // 0 for out-of-range variants.
   uint64_t ReplayedPrefix(uint32_t variant);
 
   // Which recording shard an address hashes to. Exposed for tests that need
@@ -77,10 +72,10 @@ class PartialOrderRuntime {
   // Sentinel for "no same-shard predecessor" (first op on a shard).
   static constexpr uint64_t kNoPrev = ~uint64_t{0};
 
+  // The recording thread is implied by the ring the entry sits in, and the
+  // sync variable by the dependence edge.
   struct Entry {
-    uint32_t tid = 0;
-    uint64_t key = 0;            // master-space sync-variable identity
-    uint64_t seq = 0;            // global ticket (sharded mode only)
+    uint64_t seq = 0;            // global ticket
     uint64_t prev_seq = kNoPrev; // same-shard predecessor's ticket
     uint32_t prev_tid = 0;       // ...and the thread that recorded it
   };
@@ -93,62 +88,37 @@ class PartialOrderRuntime {
   };
   using RecordShards = TicketedRecordShards<ChainTail>;
 
-  // Per-thread consumed-watermark for the sharded dependence wait: thread t
+  // Per-thread consumed-watermark for the dependence wait: thread t
   // has replayed every one of its entries with sequence < `next`.
   struct alignas(64) ConsumedMark {
     std::atomic<uint64_t> next{0};
   };
 
-  // Per-slave-variant replay state. The sharded path uses only consumer_id
-  // and consumed_through; the window-scan vectors belong to the global-lock
-  // baseline.
+  // Per-slave-variant replay state.
   struct SlaveState {
-    // consumed[seq & mask] == seq + 1: entry seq has been replayed. The mark
-    // is the sequence itself (not a 0/1 flag) so slot reuse needs no
-    // clearing step: a stale mark from the previous lap never equals the
-    // current lap's seq + 1. That is what makes the lock-free retire loop
-    // below safe — a 0/1 flag would need a clear that races with
-    // out-of-order cursor advances.
-    std::vector<std::atomic<uint64_t>> consumed;
-    // Next entry index each thread will look for (owned by that thread).
-    std::vector<std::atomic<uint64_t>> next_index_by_tid;
-    // First unretired sequence. Advanced by a lock-free CAS race in
-    // RetireConsumedPrefix (each slot has exactly one winner); readers load
-    // the atomic directly (base only moves forward, stale reads are safe).
-    std::atomic<uint64_t> base{0};
-    // Sharded mode: consumed_through[t].next - 1 is the last sequence
-    // thread t replayed (released in AfterSyncOp, acquired by waiters).
+    // consumed_through[t].next - 1 is the last sequence thread t replayed
+    // (released in AfterSyncOp, acquired by waiters).
     std::vector<ConsumedMark> consumed_through;
-    // Sharded mode: cross-thread min-replayed-sequence watermark feeding the
-    // master's po_window gate. Marked by the replaying thread in AfterSyncOp
-    // (one release store); folded by whoever waits on it.
+    // Cross-thread min-replayed-sequence watermark feeding the master's
+    // po_window gate. Marked by the replaying thread in AfterSyncOp (one
+    // release store); folded by whoever waits on it.
     std::unique_ptr<PrefixWatermark> replay_mark;
-    size_t consumer_id = 0;
+    size_t consumer_id = 0;  // variant - 1
   };
 
-  // Sharded po_window gate (master side, pre-Acquire). Enforces the paper's
-  // lookahead window — which the baseline gets for free from its window
-  // scan — against the shared replay watermark: stall while the next ticket
-  // would run more than po_window past the slowest live slave's replayed
-  // prefix. The check happens before the shard lock is taken, so up to
-  // max_threads threads can pass the gate and then draw tickets; the
+  // po_window gate (master side, pre-Acquire): the paper's lookahead window,
+  // enforced against the shared replay watermark — stall while the next
+  // ticket would run more than po_window past the slowest live slave's
+  // replayed prefix. The check happens before the shard lock is taken, so up
+  // to max_threads threads can pass the gate and then draw tickets; the
   // overshoot is bounded by max_threads, which sizes the watermark below.
-  void GateOnReplayWindow(uint32_t tid, AgentStats::Shard& stats);
-
-  // Retires the consumed prefix of the baseline ring so the producer can
-  // reuse the slots. Lock-free and safe to call from any slave thread of
-  // the variant; stalled threads call it too (helping), so retirement can
-  // never wedge behind a thread that finished its op and went idle.
-  void RetireConsumedPrefix(SlaveState* slave);
+  void GateOnReplayWindow(AgentStats::Shard& stats);
 
   AgentConfig config_;
   AgentControl control_;
   AgentStats stats_;
-  // Global-lock baseline state.
-  BroadcastRing<Entry> ring_;
-  std::atomic_flag master_lock_ = ATOMIC_FLAG_INIT;
   std::vector<std::unique_ptr<SlaveState>> slaves_;  // index: variant-1
-  // Sharded recording state (docs/DESIGN.md §8, shared with TO through
+  // Recording state (docs/DESIGN.md §8, shared with TO through
   // record_shards.h).
   RecordShards record_shards_;
   LazyRingSet<Entry> thread_rings_;  // [tid], created on first touch
@@ -178,12 +148,11 @@ class PartialOrderAgent final : public SyncAgent {
   // Stats shard key: 0 for the master, consumer id + 1 for slaves.
   const uint32_t stats_variant_;
   struct Pending {
-    // The entry this thread matched in BeforeSyncOp, consumed in
-    // AfterSyncOp (baseline: its global-ring index; sharded: its ticket
-    // sequence).
-    uint64_t index = 0;
-    // Sharded recording: shard locked in BeforeSyncOp, released (after the
-    // ticket + push) in AfterSyncOp — cached so After does not re-hash.
+    // Replay: ticket sequence of the entry this thread matched in
+    // BeforeSyncOp, consumed in AfterSyncOp.
+    uint64_t seq = 0;
+    // Recording: shard locked in BeforeSyncOp, released (after the ticket +
+    // push) in AfterSyncOp — cached so After does not re-hash.
     PartialOrderRuntime::RecordShards::Shard* shard = nullptr;
   };
   PerThreadScratch<Pending> pending_;

@@ -1,10 +1,9 @@
 // Shared machinery of the agents' recording paths (docs/DESIGN.md §8): the
-// per-sync-variable shard locks and global ticket counter of the sharded
-// TO/PO master path, the lazily-created per-master-thread recording rings
-// every runtime records into, and the record-with-backpressure pushes of
-// both the sharded and the global-lock (sharded_recording=0) baselines. The
-// runtimes instantiate this rather than carrying private copies, so a change
-// to the lock/ticket/push sequence — whose memory ordering the §8 soundness
+// per-sync-variable shard locks and global ticket counter of the TO/PO
+// master path, the lazily-created per-master-thread recording rings every
+// runtime records into, and the record-with-backpressure push. The runtimes
+// instantiate this rather than carrying private copies, so a change to the
+// lock/ticket/push sequence — whose memory ordering the §8 soundness
 // argument depends on — cannot silently diverge between agents.
 
 #ifndef MVEE_AGENTS_RECORD_SHARDS_H_
@@ -43,11 +42,10 @@ class TicketedRecordShards {
     void Release() { lock.clear(std::memory_order_release); }
   };
 
-  // `enabled` = AgentConfig::sharded_recording; the baseline pays for no
-  // shard memory. `shard_count` must be a power of two (ValidatedAgentConfig
-  // guarantees it for configured callers).
-  explicit TicketedRecordShards(bool enabled, size_t shard_count = kDefaultShardCount)
-      : shard_mask_(shard_count - 1), shards_(enabled ? shard_count : 0) {}
+  // `shard_count` must be a power of two (ValidatedAgentConfig guarantees it
+  // for configured callers).
+  explicit TicketedRecordShards(size_t shard_count = kDefaultShardCount)
+      : shard_mask_(shard_count - 1), shards_(shard_count) {}
 
   static size_t IndexFor(const void* addr, size_t shard_count) {
     return ClockAddressHash(reinterpret_cast<uint64_t>(addr)) & (shard_count - 1);
@@ -104,13 +102,10 @@ class TicketedRecordShards {
 template <typename Entry>
 class LazyRingSet {
  public:
-  // `enabled` = whether this runtime records into per-thread rings at all
-  // (TO/PO pass sharded_recording; WoC/PVO always record per-thread).
-  LazyRingSet(bool enabled, const AgentConfig& config)
+  explicit LazyRingSet(const AgentConfig& config)
       : capacity_(config.buffer_capacity),
-        caching_(config.cached_ring_cursors),
         consumers_(config.num_variants > 0 ? config.num_variants - 1 : 0),
-        slots_(enabled ? config.max_threads : 0) {}
+        slots_(config.max_threads) {}
 
   LazyRingSet(const LazyRingSet&) = delete;
   LazyRingSet& operator=(const LazyRingSet&) = delete;
@@ -120,8 +115,6 @@ class LazyRingSet {
       delete slot.load(std::memory_order_relaxed);
     }
   }
-
-  bool enabled() const { return !slots_.empty(); }
 
   // Rings actually materialized so far (== distinct tids that performed a
   // sync op under this runtime).
@@ -152,7 +145,6 @@ class LazyRingSet {
  private:
   BroadcastRing<Entry>& Create(uint32_t tid) {
     auto* fresh = new BroadcastRing<Entry>(capacity_);
-    fresh->EnableCursorCaching(caching_);
     for (size_t v = 0; v < consumers_; ++v) {
       fresh->RegisterConsumer();
     }
@@ -175,14 +167,13 @@ class LazyRingSet {
   }
 
   const size_t capacity_;
-  const bool caching_;
   const size_t consumers_;
   std::vector<std::atomic<BroadcastRing<Entry>*>> slots_;
   std::atomic<uint32_t> detached_{0};
   std::atomic<uint64_t> created_{0};
 };
 
-// The tail of a sharded master's AfterSyncOp: push the stamped entry into
+// The tail of a TO/PO master's AfterSyncOp: push the stamped entry into
 // the thread's own ring (spinning while the slowest slave variant gates the
 // slot), bump ops_recorded, release the shard. The push stays inside the
 // shard lock — that chains ring publications of conflicting ops, the
@@ -203,50 +194,6 @@ void RecordIntoRing(BroadcastRing<Entry>& ring, const Entry& entry, Shard& shard
   }
   stats.ops_recorded.Add();
   shard.Release();
-}
-
-// The sharded_recording=false baseline's master path, shared by TO and PO
-// (the seed carried verbatim copies in both agents): one global
-// instrumentation lock held across the sync op, so the recorded order IS the
-// execution order. This read-write sharing on one cache line is the
-// scalability problem §4.5 attributes to the simple agents — kept selectable
-// for in-run A/B sweeps, and kept HERE so the baseline the sharded path is
-// measured against cannot drift between the two agents.
-inline void AcquireGlobalRecordLock(std::atomic_flag& lock, const AgentControl& control,
-                                    AgentStats::Shard& stats) {
-  SpinWait waiter;
-  while (lock.test_and_set(std::memory_order_acquire)) {
-    if (control.aborted()) {
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
-  if (waiter.spins() > 0) {
-    stats.record_lock_spins.Add(waiter.spins());
-  }
-}
-
-// The tail of a baseline master's AfterSyncOp: push into the single global
-// ring and release the global lock. The push must stay inside the lock — the
-// ring has one logical producer (whoever holds the lock) and its push order
-// is the recorded order.
-template <typename Entry>
-void RecordIntoGlobalRing(BroadcastRing<Entry>& ring, const Entry& entry,
-                          std::atomic_flag& lock, const AgentControl& control,
-                          AgentStats::Shard& stats) {
-  if (!ring.TryPush(entry)) {
-    stats.record_stalls.Add();
-    SpinWait waiter;
-    while (!ring.TryPush(entry)) {
-      if (control.aborted()) {
-        lock.clear(std::memory_order_release);
-        throw VariantKilled{};
-      }
-      waiter.Pause();
-    }
-  }
-  stats.ops_recorded.Add();
-  lock.clear(std::memory_order_release);
 }
 
 }  // namespace mvee

@@ -13,11 +13,10 @@
 //
 // Master agents make (record + execute) atomic per ordering domain by holding
 // an instrumentation lock across the op: a per-clock lock for wall-of-clocks,
-// and — with AgentConfig::sharded_recording on — a per-sync-variable shard
-// lock plus a global ticket counter for the total-order and partial-order
-// agents (docs/DESIGN.md §8). The sharded_recording=false baseline restores
-// the seed's single global lock for TO/PO (the source of their
-// cache-contention problems, §4.5) so both are measurable in one binary.
+// and a per-sync-variable shard lock plus a global ticket counter for the
+// total-order and partial-order agents (docs/DESIGN.md §8). The paper's
+// TO/PO agents held one global lock instead, the source of their
+// cache-contention problems (§4.5).
 //
 // Agents never allocate memory on the hot path (§3.3): all buffers and clock
 // pools are preallocated when the shared runtime is created.
@@ -50,24 +49,13 @@ struct AgentStatsSnapshot {
   uint64_t ops_replayed = 0;
   uint64_t record_stalls = 0;     // producer blocked on full buffer
   uint64_t replay_stalls = 0;     // slave blocked waiting its turn
-  uint64_t record_lock_spins = 0; // master spun on the record lock (global
-                                  // master lock, or a shard lock when
-                                  // sharded_recording is on)
+  uint64_t record_lock_spins = 0; // TO/PO master spun on a record shard lock
 };
 
-// Default for AgentConfig::sharded_recording: on, unless the environment
-// forces the global-lock baseline (MVEE_SHARDED_RECORDING=0). The override
-// lets whole test suites sweep the baseline without edits; explicit
-// assignments in code always win.
-inline bool DefaultShardedRecording() {
-  const char* env = std::getenv("MVEE_SHARDED_RECORDING");
-  return env == nullptr || env[0] != '0';
-}
-
 // Default for AgentConfig::adaptive_agents: on, unless the environment forces
-// the single-agent baseline (MVEE_ADAPTIVE_AGENTS=0). Same sweep contract as
-// MVEE_SHARDED_RECORDING: whole test suites can run either mode without
-// edits; explicit assignments in code always win.
+// the single-agent baseline (MVEE_ADAPTIVE_AGENTS=0). The override lets whole
+// test suites run either mode without edits; explicit assignments in code
+// always win.
 inline bool DefaultAdaptiveAgents() {
   const char* env = std::getenv("MVEE_ADAPTIVE_AGENTS");
   return env == nullptr || env[0] != '0';
@@ -80,24 +68,12 @@ struct AgentConfig {
   size_t buffer_capacity = 1 << 16;    // Entries per sync buffer (power of 2).
   size_t clock_count = 4096;           // Wall-of-clocks wall size.
   size_t po_window = 1 << 12;          // Partial-order lookahead window.
-  // Disruptor-style cached gating cursors in the sync buffers. Off restores
-  // the rescan-every-op ring for A/B measurement (bench_ring_throughput,
-  // bench_table3_syncops); production runs leave it on.
-  bool cached_ring_cursors = true;
-  // TO/PO master recording path (docs/DESIGN.md §8): per-thread recording
-  // rings whose entries carry a global sequence drawn from one fetch_add
-  // ticket counter inside a per-sync-variable shard lock — no global lock on
-  // the record path. Off restores the seed's single global master lock and
-  // one shared ring so bench_table3_syncops / bench_ablation_agents can
-  // sweep both in-run. Default on; MVEE_SHARDED_RECORDING=0 flips the
-  // default for whole-suite baseline sweeps.
-  bool sharded_recording = DefaultShardedRecording();
   // Replay stall deadline; exceeded => the runtime calls on_stall and the
   // waiting thread unwinds with VariantKilled. Detects uninstrumented sync
   // ops (the nginx scenario of §5.5).
   std::chrono::milliseconds replay_deadline{10000};
-  // Number of per-sync-variable record shard locks for the TO/PO sharded
-  // recording path (docs/DESIGN.md §8). 0 = auto: scale with max_threads
+  // Number of per-sync-variable record shard locks for the TO/PO recording
+  // path (docs/DESIGN.md §8). 0 = auto: scale with max_threads
   // (8 shards per thread, floor 512 — the PR 5 constant — so the default
   // config is unchanged). Rounded up to a power of two, clamped to
   // [64, 65536]. Exposed for the shard-collision ablation.

@@ -5,21 +5,16 @@
 // serialized in the slaves — the "unnecessary stalls" the paper illustrates
 // with the red bar in Figure 4(a).
 //
-// Two recording paths (AgentConfig::sharded_recording):
-//  - Sharded (default, docs/DESIGN.md §8): each master thread records into
-//    its own BroadcastRing; every entry is stamped with a global sequence
-//    drawn from one fetch_add ticket counter. A per-sync-variable shard lock
-//    held across (op + ticket + push) makes the sequence order a linear
-//    extension of the conflict order, which is all replay needs — the global
-//    master lock disappears from the hot path. Slaves merge the per-thread
-//    rings on the recorded sequences: thread t's next op is always its own
-//    ring's front, and a per-variant next_seq ratchet admits exactly the
-//    entry whose sequence is next.
-//  - Global-lock baseline (sharded_recording = false): the seed's single
-//    global buffer under one instrumentation lock held across each op — the
-//    read-write-shared cache line §4.5 blames for the simple agents' poor
-//    scaling. Kept selectable so bench_table3_syncops / bench_ablation_agents
-//    can sweep both in one run.
+// Recording (docs/DESIGN.md §8): each master thread records into its own
+// BroadcastRing; every entry is stamped with a global sequence drawn from
+// one fetch_add ticket counter. A per-sync-variable shard lock held across
+// (op + ticket + push) makes the sequence order a linear extension of the
+// conflict order, which is all replay needs — no global master lock (the
+// read-write-shared cache line §4.5 blames for the simple agents' poor
+// scaling) sits on the hot path. Slaves merge the per-thread rings on the
+// recorded sequences: thread t's next op is always its own ring's front,
+// and a per-variant next_seq ratchet admits exactly the entry whose
+// sequence is next.
 
 #ifndef MVEE_AGENTS_TOTAL_ORDER_H_
 #define MVEE_AGENTS_TOTAL_ORDER_H_
@@ -48,18 +43,17 @@ class TotalOrderRuntime {
 
   const AgentStats& stats() const { return stats_; }
   uint64_t OpsRecorded() const { return stats_.Aggregate().ops_recorded; }
-  // Tickets drawn so far (sharded mode; 0 under the global-lock baseline).
+  // Tickets drawn so far.
   uint64_t SequencesIssued() const { return record_shards_.TicketsIssued(); }
-  bool sharded_recording() const { return config_.sharded_recording; }
   // Per-thread recording rings materialized so far (lazy allocation).
   uint64_t RecordingRingsCreated() const { return thread_rings_.CreatedCount(); }
 
  private:
   friend class TotalOrderAgent;
 
+  // The recording thread is implied by the ring the entry sits in.
   struct Entry {
-    uint32_t tid = 0;
-    uint64_t seq = 0;  // global ticket (sharded mode only)
+    uint64_t seq = 0;  // global ticket
   };
 
   // TO needs no per-shard payload beyond the lock itself.
@@ -74,11 +68,7 @@ class TotalOrderRuntime {
   AgentConfig config_;
   AgentControl control_;
   AgentStats stats_;
-  // Global-lock baseline state.
-  BroadcastRing<Entry> ring_;
-  std::atomic_flag master_lock_ = ATOMIC_FLAG_INIT;
-  std::vector<size_t> consumer_ids_;  // consumer id per slave variant (index-1)
-  // Sharded recording state (docs/DESIGN.md §8, shared with PO through
+  // Recording state (docs/DESIGN.md §8, shared with PO through
   // record_shards.h).
   RecordShards record_shards_;
   LazyRingSet<Entry> thread_rings_;  // [tid], created on first touch
@@ -97,15 +87,15 @@ class TotalOrderAgent final : public SyncAgent {
  private:
   TotalOrderRuntime* const runtime_;
   const AgentRole role_;
-  const size_t consumer_id_;
+  const size_t consumer_id_;  // variant - 1 (slaves only)
   // Stats shard key: 0 for the master, consumer id + 1 for slaves.
   const uint32_t stats_variant_;
   struct Pending {
-    // Sharded replay: sequence matched in BeforeSyncOp, ratcheted past in
+    // Replay: sequence matched in BeforeSyncOp, ratcheted past in
     // AfterSyncOp.
     uint64_t seq = 0;
-    // Sharded recording: shard locked in BeforeSyncOp, released (after the
-    // ticket + push) in AfterSyncOp — cached so After does not re-hash.
+    // Recording: shard locked in BeforeSyncOp, released (after the ticket +
+    // push) in AfterSyncOp — cached so After does not re-hash.
     TotalOrderRuntime::RecordShards::Shard* shard = nullptr;
   };
   PerThreadScratch<Pending> pending_;

@@ -12,24 +12,17 @@ PartialOrderRuntime::PartialOrderRuntime(const AgentConfig& config, AgentControl
     : config_(ValidatedAgentConfig(config)),
       control_(std::move(control)),
       stats_(config_),
-      ring_(config_.sharded_recording ? 2 : config_.buffer_capacity),
-      record_shards_(config_.sharded_recording, config_.record_shard_count),
-      thread_rings_(config_.sharded_recording, config_) {
-  ring_.EnableCursorCaching(config_.cached_ring_cursors);
+      record_shards_(config_.record_shard_count),
+      thread_rings_(config_) {
   for (uint32_t v = 1; v < config_.num_variants; ++v) {
     auto slave = std::make_unique<SlaveState>();
-    if (config_.sharded_recording) {
-      slave->consumed_through = std::vector<ConsumedMark>(config_.max_threads);
-      // Capacity contract (watermark.h): the gate admits at most po_window
-      // outstanding sequences plus a max_threads overshoot (the gate check
-      // precedes the ticket draw), so every live mark fits.
-      slave->replay_mark = std::make_unique<PrefixWatermark>(
-          config_.po_window + config_.max_threads + 1);
-    } else {
-      slave->consumed = std::vector<std::atomic<uint64_t>>(config_.buffer_capacity);
-      slave->next_index_by_tid = std::vector<std::atomic<uint64_t>>(config_.max_threads);
-    }
-    slave->consumer_id = ring_.RegisterConsumer();
+    slave->consumed_through = std::vector<ConsumedMark>(config_.max_threads);
+    // Capacity contract (watermark.h): the gate admits at most po_window
+    // outstanding sequences plus a max_threads overshoot (the gate check
+    // precedes the ticket draw), so every live mark fits.
+    slave->replay_mark =
+        std::make_unique<PrefixWatermark>(config_.po_window + config_.max_threads + 1);
+    slave->consumer_id = v - 1;
     slaves_.push_back(std::move(slave));
   }
 }
@@ -40,32 +33,12 @@ size_t PartialOrderRuntime::RecordShardIndex(const void* addr) {
   return RecordShards::IndexFor(addr, RecordShards::kDefaultShardCount);
 }
 
-void PartialOrderRuntime::RetireConsumedPrefix(SlaveState* slave) {
-  const uint64_t mask = config_.buffer_capacity - 1;
-  uint64_t base = slave->base.load(std::memory_order_acquire);
-  while (base < ring_.WriteCursor() &&
-         slave->consumed[base & mask].load(std::memory_order_acquire) == base + 1) {
-    // Exactly one thread wins the CAS for each slot; winners publish through
-    // AdvanceTo, whose monotonic CAS-max tolerates winners finishing out of
-    // order (a lagging winner's smaller advance is simply subsumed).
-    if (slave->base.compare_exchange_weak(base, base + 1, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      ring_.AdvanceTo(slave->consumer_id, base + 1);
-      ++base;
-    }
-  }
-}
-
 void PartialOrderRuntime::DetachVariant(uint32_t variant) {
   if (variant == 0 || variant >= config_.num_variants) {
     return;
   }
-  // Consumer v-1 belongs to slave variant v in both the baseline global ring
-  // and every per-thread recording ring.
-  ring_.DetachConsumer(slaves_[variant - 1]->consumer_id);
-  if (thread_rings_.enabled()) {
-    thread_rings_.DetachConsumer(variant - 1);
-  }
+  // Consumer v-1 belongs to slave variant v in every per-thread ring.
+  thread_rings_.DetachConsumer(variant - 1);
   // Publish before any later gate pass recomputes the minimum, so a master
   // stalled on the dead variant's frozen watermark drops it on its next
   // slow-path iteration.
@@ -73,13 +46,13 @@ void PartialOrderRuntime::DetachVariant(uint32_t variant) {
 }
 
 uint64_t PartialOrderRuntime::ReplayedPrefix(uint32_t variant) {
-  if (variant == 0 || variant >= config_.num_variants || !config_.sharded_recording) {
+  if (variant == 0 || variant >= config_.num_variants) {
     return 0;
   }
   return slaves_[variant - 1]->replay_mark->TryAdvance();
 }
 
-void PartialOrderRuntime::GateOnReplayWindow(uint32_t tid, AgentStats::Shard& stats) {
+void PartialOrderRuntime::GateOnReplayWindow(AgentStats::Shard& stats) {
   // One relaxed load on the fast path: limits only grow, so a stale (small)
   // value can only send us to the slow path, never admit an out-of-window
   // ticket.
@@ -104,8 +77,7 @@ void PartialOrderRuntime::GateOnReplayWindow(uint32_t tid, AgentStats::Shard& st
       min_prefix = prefix < min_prefix ? prefix : min_prefix;
     }
     if (!any_live) {
-      // No replayer left to bound: the window is moot (matches the
-      // single-variant and post-excision baselines, which never stalled).
+      // No replayer left to bound: the window is moot.
       window_limit_.store(~uint64_t{0}, std::memory_order_relaxed);
       return;
     }
@@ -147,19 +119,13 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   }
   CheckTidBound(tid, runtime_->config_.max_threads, runtime_->control_, name());
   if (role_ == AgentRole::kMaster) {
-    if (runtime_->config_.sharded_recording) {
-      // Window gate BEFORE the shard lock: a gated master must not stall
-      // while holding a shard other replaying-adjacent masters need.
-      runtime_->GateOnReplayWindow(tid, runtime_->stats_.shard(stats_variant_, tid));
-      // Per-variable shard lock held across (op + ticket + push): see the
-      // total-order agent and docs/DESIGN.md §8 for the ordering argument.
-      pending_[tid].shard = &runtime_->record_shards_.Acquire(
-          addr, runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
-      return;
-    }
-    // Global instrumentation lock baseline (shared helper in record_shards.h).
-    AcquireGlobalRecordLock(runtime_->master_lock_, runtime_->control_,
-                            runtime_->stats_.shard(stats_variant_, tid));
+    // Window gate BEFORE the shard lock: a gated master must not stall
+    // while holding a shard other replaying-adjacent masters need.
+    runtime_->GateOnReplayWindow(runtime_->stats_.shard(stats_variant_, tid));
+    // Per-variable shard lock held across (op + ticket + push): see the
+    // total-order agent and docs/DESIGN.md §8 for the ordering argument.
+    pending_[tid].shard = &runtime_->record_shards_.Acquire(
+        addr, runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
     return;
   }
 
@@ -180,134 +146,41 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     }
   };
 
-  if (runtime_->config_.sharded_recording) {
-    // Sharded replay (docs/DESIGN.md §8). Step 1: this thread's next entry
-    // is its own ring's front — master thread t produced exactly thread t's
-    // entries, in program order, so no window scan is needed to find it.
-    auto& ring = runtime_->thread_rings_.Get(tid);
-    const size_t consumer = slave_->consumer_id;
-    PartialOrderRuntime::Entry mine;
-    while (!ring.Peek(consumer, 0, &mine)) {
-      if (!stalled) {
-        stalled = true;
-        runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-      }
-      check_deadline("front");
-      waiter.Pause();
+  // Replay (docs/DESIGN.md §8). Step 1: this thread's next entry
+  // is its own ring's front — master thread t produced exactly thread t's
+  // entries, in program order, so no window scan is needed to find it.
+  auto& ring = runtime_->thread_rings_.Get(tid);
+  const size_t consumer = slave_->consumer_id;
+  PartialOrderRuntime::Entry mine;
+  while (!ring.Peek(consumer, 0, &mine)) {
+    if (!stalled) {
+      stalled = true;
+      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
     }
+    check_deadline("front");
+    waiter.Pause();
+  }
 
-    pending_[tid].index = mine.seq;
+  pending_[tid].seq = mine.seq;
 
-    // Step 2, O(1) dependence wait: the master recorded this op's immediate
-    // same-shard predecessor edge (it held the shard lock while drawing the
-    // ticket, so the edge was known for free). Waiting until the
-    // predecessor is consumed transitively waits for the whole earlier
-    // chain — which includes every earlier same-key op. Thread prev_tid
-    // publishes a consumed-watermark after every replayed op (it consumes
-    // its entries in increasing sequence order), so one acquire load
-    // answers "has prev_seq been replayed". Deliberately NOT a peek into
-    // ring[prev_tid]: a cross-thread peek races that ring's cursor advance
-    // and can read a just-recycled slot's far-larger sequence, wrongly
-    // releasing this waiter. The baseline scans O(po_window) entries for
-    // the same answer.
-    if (mine.prev_seq == PartialOrderRuntime::kNoPrev) {
-      return;
-    }
-    auto& prev_mark = slave_->consumed_through[mine.prev_tid].next;
-    waiter.Reset();
-    while (prev_mark.load(std::memory_order_acquire) <= mine.prev_seq) {
-      if (!stalled) {
-        stalled = true;
-        runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-      }
-      check_deadline("dependence");
-      waiter.Pause();
-    }
+  // Step 2, O(1) dependence wait: the master recorded this op's immediate
+  // same-shard predecessor edge (it held the shard lock while drawing the
+  // ticket, so the edge was known for free). Waiting until the
+  // predecessor is consumed transitively waits for the whole earlier
+  // chain — which includes every earlier same-key op. Thread prev_tid
+  // publishes a consumed-watermark after every replayed op (it consumes
+  // its entries in increasing sequence order), so one acquire load
+  // answers "has prev_seq been replayed". Deliberately NOT a peek into
+  // ring[prev_tid]: a cross-thread peek races that ring's cursor advance
+  // and can read a just-recycled slot's far-larger sequence, wrongly
+  // releasing this waiter. The paper's agent scans O(po_window) entries
+  // for the same answer.
+  if (mine.prev_seq == PartialOrderRuntime::kNoPrev) {
     return;
   }
-
-  // Baseline replay. Step 1: locate this thread's next recorded entry by
-  // scanning forward from where the previous scan stopped (each global entry
-  // is scanned at most once per thread, so the scan is amortized O(1)).
-  const uint64_t mask = runtime_->config_.buffer_capacity - 1;
-  auto& ring = runtime_->ring_;
-  const size_t consumer = slave_->consumer_id;
-
-  // The scan may look at most `po_window` entries past the retire base (the
-  // paper's lookahead window): a thread whose next entry lies beyond it
-  // stalls until other threads consume the in-window entries. Progress is
-  // guaranteed for any window >= 1 because the entry at `base` is always the
-  // owning thread's next entry. Small windows bound scan cost and memory
-  // freshness at the price of TO-like stalls (ablation 5 sweeps this).
-  const uint64_t window = runtime_->config_.po_window;
-  uint64_t index = slave_->next_index_by_tid[tid].load(std::memory_order_relaxed);
-  PartialOrderRuntime::Entry mine;
-  for (;;) {
-    const uint64_t base_now = slave_->base.load(std::memory_order_acquire);
-    if (index < base_now) {
-      // Everything below base is consumed — including all of this thread's
-      // earlier entries — so its next entry is at or above base. Skipping
-      // ahead is therefore lossless, and it keeps the scan out of retired
-      // slots the producer may already be reusing.
-      index = base_now;
-    }
-    if (index >= base_now + window) {
-      if (!stalled) {
-        stalled = true;
-        runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-      }
-      // Help retire while stalled: the threads that consumed the in-window
-      // entries may already be idle, and the window cannot open until the
-      // base advances past their marks.
-      runtime_->RetireConsumedPrefix(slave_);
-      check_deadline("window");
-      waiter.Pause();
-      continue;
-    }
-    PartialOrderRuntime::Entry entry;
-    if (!ring.TryRead(consumer, index, &entry)) {
-      if (!stalled) {
-        stalled = true;
-        runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-      }
-      runtime_->RetireConsumedPrefix(slave_);
-      check_deadline("scan");
-      waiter.Pause();
-      continue;
-    }
-    if (entry.tid == tid) {
-      mine = entry;
-      break;
-    }
-    ++index;
-  }
-  pending_[tid].index = index;
-
-  // Step 2: wait until every unconsumed earlier entry with the same key has
-  // been replayed. This is the window scan the paper describes; it preserves
-  // the recorded order between dependent ops only.
+  auto& prev_mark = slave_->consumed_through[mine.prev_tid].next;
   waiter.Reset();
-  for (;;) {
-    bool blocked = false;
-    // base only moves forward; a stale (smaller) value is safe, it only
-    // lengthens the scan.
-    const uint64_t base = slave_->base.load(std::memory_order_acquire);
-    for (uint64_t j = base; j < index; ++j) {
-      if (slave_->consumed[j & mask].load(std::memory_order_acquire) == j + 1) {
-        continue;  // Already replayed.
-      }
-      PartialOrderRuntime::Entry other;
-      if (!ring.TryRead(consumer, j, &other)) {
-        continue;  // Retired concurrently.
-      }
-      if (other.key == mine.key) {
-        blocked = true;
-        break;
-      }
-    }
-    if (!blocked) {
-      return;
-    }
+  while (prev_mark.load(std::memory_order_acquire) <= mine.prev_seq) {
     if (!stalled) {
       stalled = true;
       runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
@@ -318,56 +191,33 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
 }
 
 void PartialOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {
+  (void)addr;  // The shard was resolved (and locked) in BeforeSyncOp.
   if (runtime_->control_.aborted() && AlreadyUnwinding()) {
     return;
   }
   if (role_ == AgentRole::kMaster) {
-    if (runtime_->config_.sharded_recording) {
-      auto& shard = *pending_[tid].shard;
-      PartialOrderRuntime::Entry entry;
-      entry.tid = tid;
-      entry.key = reinterpret_cast<uint64_t>(addr);
-      entry.seq = runtime_->record_shards_.DrawTicket();
-      // Dependence edge: the previous op recorded under this shard lock (the
-      // chain covers every same-key op, plus benignly-merged collisions).
-      entry.prev_seq = shard.extra.last_seq;
-      entry.prev_tid = shard.extra.last_tid;
-      shard.extra.last_seq = entry.seq;
-      shard.extra.last_tid = tid;
-      RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, shard, runtime_->control_,
-                     runtime_->stats_.shard(stats_variant_, tid));
-      return;
-    }
+    auto& shard = *pending_[tid].shard;
     PartialOrderRuntime::Entry entry;
-    entry.tid = tid;
-    entry.key = reinterpret_cast<uint64_t>(addr);
-    // Shared baseline tail (record_shards.h): push inside the lock, so the
-    // ring's push order is the recorded order.
-    RecordIntoGlobalRing(runtime_->ring_, entry, runtime_->master_lock_,
-                         runtime_->control_,
-                         runtime_->stats_.shard(stats_variant_, tid));
+    entry.seq = runtime_->record_shards_.DrawTicket();
+    // Dependence edge: the previous op recorded under this shard lock (the
+    // chain covers every same-key op, plus benignly-merged collisions).
+    entry.prev_seq = shard.extra.last_seq;
+    entry.prev_tid = shard.extra.last_tid;
+    shard.extra.last_seq = entry.seq;
+    shard.extra.last_tid = tid;
+    RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, shard, runtime_->control_,
+                   runtime_->stats_.shard(stats_variant_, tid));
     return;
   }
 
-  if (runtime_->config_.sharded_recording) {
-    runtime_->thread_rings_.Get(tid).Advance(slave_->consumer_id);
-    // The release publishes this op's effects to whichever thread acquires
-    // the watermark in its dependence wait.
-    slave_->consumed_through[tid].next.store(pending_[tid].index + 1,
-                                             std::memory_order_release);
-    // Feed the master's po_window gate: one release store; the gated master
-    // folds the prefix itself (watermark.h).
-    slave_->replay_mark->Mark(pending_[tid].index);
-    runtime_->stats_.shard(stats_variant_, tid).ops_replayed.Add();
-    return;
-  }
-
-  const uint64_t mask = runtime_->config_.buffer_capacity - 1;
-  const uint64_t index = pending_[tid].index;
-  slave_->consumed[index & mask].store(index + 1, std::memory_order_release);
-  slave_->next_index_by_tid[tid].store(index + 1, std::memory_order_relaxed);
+  runtime_->thread_rings_.Get(tid).Advance(slave_->consumer_id);
+  // The release publishes this op's effects to whichever thread acquires
+  // the watermark in its dependence wait.
+  slave_->consumed_through[tid].next.store(pending_[tid].seq + 1, std::memory_order_release);
+  // Feed the master's po_window gate: one release store; the gated master
+  // folds the prefix itself (watermark.h).
+  slave_->replay_mark->Mark(pending_[tid].seq);
   runtime_->stats_.shard(stats_variant_, tid).ops_replayed.Add();
-  runtime_->RetireConsumedPrefix(slave_);
 }
 
 }  // namespace mvee

@@ -53,7 +53,7 @@ PerVariableRuntime::PerVariableRuntime(const AgentConfig& config, AgentControl c
       overflow_mask_(overflow_capacity_ - 1),
       overflow_keys_(overflow_capacity_),
       master_clocks_(table_capacity_),
-      rings_(true, config_),
+      rings_(config_),
       slave_clocks_(config_.num_variants > 0 ? config_.num_variants - 1 : 0) {
   for (auto& key : keys_) {
     key.store(0, std::memory_order_relaxed);

@@ -12,36 +12,23 @@ TotalOrderRuntime::TotalOrderRuntime(const AgentConfig& config, AgentControl con
     : config_(ValidatedAgentConfig(config)),
       control_(std::move(control)),
       stats_(config_),
-      // The baseline global ring is only populated when sharded recording is
-      // off; shrink whichever side is idle so a runtime never pays for both.
-      ring_(config_.sharded_recording ? 2 : config_.buffer_capacity),
-      record_shards_(config_.sharded_recording, config_.record_shard_count),
-      thread_rings_(config_.sharded_recording, config_),
-      replay_fronts_(config_.num_variants > 0 ? config_.num_variants - 1 : 0) {
-  ring_.EnableCursorCaching(config_.cached_ring_cursors);
-  // One consumer cursor per slave variant. All threads of a slave variant
-  // share one cursor: the total order is variant-global.
-  consumer_ids_.resize(config_.num_variants, 0);
-  for (uint32_t v = 1; v < config_.num_variants; ++v) {
-    consumer_ids_[v] = ring_.RegisterConsumer();
-  }
-}
+      record_shards_(config_.record_shard_count),
+      thread_rings_(config_),
+      replay_fronts_(config_.num_variants > 0 ? config_.num_variants - 1 : 0) {}
 
 void TotalOrderRuntime::DetachVariant(uint32_t variant) {
   if (variant == 0 || variant >= config_.num_variants) {
     return;
   }
-  // Consumer v-1 belongs to slave variant v in both the baseline global ring
-  // and every per-thread recording ring.
-  ring_.DetachConsumer(consumer_ids_[variant]);
-  if (thread_rings_.enabled()) {
-    thread_rings_.DetachConsumer(variant - 1);
-  }
+  // Consumer v-1 belongs to slave variant v in every per-thread ring.
+  thread_rings_.DetachConsumer(variant - 1);
 }
 
 std::unique_ptr<SyncAgent> TotalOrderRuntime::CreateAgent(uint32_t variant_index) {
-  const AgentRole role = variant_index == 0 ? AgentRole::kMaster : AgentRole::kSlave;
-  return std::make_unique<TotalOrderAgent>(this, role, consumer_ids_[variant_index]);
+  if (variant_index == 0) {
+    return std::make_unique<TotalOrderAgent>(this, AgentRole::kMaster, 0);
+  }
+  return std::make_unique<TotalOrderAgent>(this, AgentRole::kSlave, variant_index - 1);
 }
 
 TotalOrderAgent::TotalOrderAgent(TotalOrderRuntime* runtime, AgentRole role, size_t consumer_id)
@@ -58,20 +45,13 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   }
   CheckTidBound(tid, runtime_->config_.max_threads, runtime_->control_, name());
   if (role_ == AgentRole::kMaster) {
-    if (runtime_->config_.sharded_recording) {
-      // Per-variable shard lock held across (op + ticket + push): conflicting
-      // ops serialize here — and only here — so the ticket order drawn in
-      // AfterSyncOp is a linear extension of the conflict order, which is
-      // all the slaves need (docs/DESIGN.md §8). Independent ops proceed in
-      // parallel; the global master lock is gone from the hot path.
-      pending_[tid].shard = &runtime_->record_shards_.Acquire(
-          addr, runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
-      return;
-    }
-    // Global instrumentation lock held across the sync op (shared baseline
-    // helper in record_shards.h; rationale documented there).
-    AcquireGlobalRecordLock(runtime_->master_lock_, runtime_->control_,
-                            runtime_->stats_.shard(stats_variant_, tid));
+    // Per-variable shard lock held across (op + ticket + push): conflicting
+    // ops serialize here — and only here — so the ticket order drawn in
+    // AfterSyncOp is a linear extension of the conflict order, which is all
+    // the slaves need (docs/DESIGN.md §8). Independent ops proceed in
+    // parallel; no global master lock sits on the hot path.
+    pending_[tid].shard = &runtime_->record_shards_.Acquire(
+        addr, runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
     return;
   }
 
@@ -79,66 +59,16 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   SpinWait waiter;
   bool stalled = false;
 
-  if (runtime_->config_.sharded_recording) {
-    // Slave merge (docs/DESIGN.md §8): thread t's next op is its own ring's
-    // front (master thread t produced exactly this thread's entries, in
-    // order), and the per-variant next_seq ratchet admits the one entry
-    // whose global sequence is next. Together the per-thread fronts plus
-    // the ratchet ARE the deterministic merge of the per-thread rings.
-    auto& ring = runtime_->thread_rings_.Get(tid);
-    TotalOrderRuntime::Entry entry;
-    while (!ring.Peek(consumer_id_, 0, &entry)) {
-      if (runtime_->control_.should_unwind(stats_variant_)) {
-        throw VariantKilled{};
-      }
-      if (!stalled) {
-        stalled = true;
-        runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-      }
-      if (deadline.Expired(waiter)) {
-        if (runtime_->control_.on_stall) {
-          runtime_->control_.on_stall("total-order replay deadline (no entry, tid " +
-                                      std::to_string(tid) + ")");
-        }
-        throw VariantKilled{};
-      }
-      waiter.Pause();
-    }
-    auto& front = runtime_->replay_fronts_[consumer_id_].next_seq;
-    waiter.Reset();
-    while (front.load(std::memory_order_acquire) != entry.seq) {
-      if (runtime_->control_.should_unwind(stats_variant_)) {
-        throw VariantKilled{};
-      }
-      if (!stalled) {
-        stalled = true;
-        runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-      }
-      if (deadline.Expired(waiter)) {
-        if (runtime_->control_.on_stall) {
-          runtime_->control_.on_stall("total-order replay deadline (seq " +
-                                      std::to_string(entry.seq) + " waiting on " +
-                                      std::to_string(front.load()) + ", tid " +
-                                      std::to_string(tid) + ")");
-        }
-        throw VariantKilled{};
-      }
-      waiter.Pause();
-    }
-    pending_[tid].seq = entry.seq;
-    return;
-  }
-
-  // Baseline slave: stall until the front of the global buffer names this
-  // thread. Only the named thread advances the cursor, so concurrent peeks
-  // are safe.
-  for (;;) {
+  // Slave merge (docs/DESIGN.md §8): thread t's next op is its own ring's
+  // front (master thread t produced exactly this thread's entries, in
+  // order), and the per-variant next_seq ratchet admits the one entry
+  // whose global sequence is next. Together the per-thread fronts plus
+  // the ratchet ARE the deterministic merge of the per-thread rings.
+  auto& ring = runtime_->thread_rings_.Get(tid);
+  TotalOrderRuntime::Entry entry;
+  while (!ring.Peek(consumer_id_, 0, &entry)) {
     if (runtime_->control_.should_unwind(stats_variant_)) {
       throw VariantKilled{};
-    }
-    TotalOrderRuntime::Entry entry;
-    if (runtime_->ring_.Peek(consumer_id_, 0, &entry) && entry.tid == tid) {
-      return;
     }
     if (!stalled) {
       stalled = true;
@@ -146,13 +76,35 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     }
     if (deadline.Expired(waiter)) {
       if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall("total-order replay deadline exceeded (tid " +
+        runtime_->control_.on_stall("total-order replay deadline (no entry, tid " +
                                     std::to_string(tid) + ")");
       }
       throw VariantKilled{};
     }
     waiter.Pause();
   }
+  auto& front = runtime_->replay_fronts_[consumer_id_].next_seq;
+  waiter.Reset();
+  while (front.load(std::memory_order_acquire) != entry.seq) {
+    if (runtime_->control_.should_unwind(stats_variant_)) {
+      throw VariantKilled{};
+    }
+    if (!stalled) {
+      stalled = true;
+      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
+    }
+    if (deadline.Expired(waiter)) {
+      if (runtime_->control_.on_stall) {
+        runtime_->control_.on_stall("total-order replay deadline (seq " +
+                                    std::to_string(entry.seq) + " waiting on " +
+                                    std::to_string(front.load()) + ", tid " +
+                                    std::to_string(tid) + ")");
+      }
+      throw VariantKilled{};
+    }
+    waiter.Pause();
+  }
+  pending_[tid].seq = entry.seq;
 }
 
 void TotalOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {
@@ -161,34 +113,22 @@ void TotalOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {
     return;
   }
   if (role_ == AgentRole::kMaster) {
-    if (runtime_->config_.sharded_recording) {
-      // Ticket and push both stay inside the shard lock. The ticket gives
-      // conflicting ops sequences in conflict order; the push-before-unlock
-      // chains ring publications of conflicting ops, so a slave that sees a
-      // later conflicting entry is guaranteed to also see every earlier one
-      // (the §8 visibility argument the PO dependence wait relies on).
-      const TotalOrderRuntime::Entry entry{tid, runtime_->record_shards_.DrawTicket()};
-      RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, *pending_[tid].shard,
-                     runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
-      return;
-    }
-    // Shared baseline tail (record_shards.h): the push stays inside the
-    // instrumentation lock, so the ring's push order *is* the recorded order.
-    RecordIntoGlobalRing(runtime_->ring_, TotalOrderRuntime::Entry{tid, 0},
-                         runtime_->master_lock_, runtime_->control_,
-                         runtime_->stats_.shard(stats_variant_, tid));
+    // Ticket and push both stay inside the shard lock. The ticket gives
+    // conflicting ops sequences in conflict order; the push-before-unlock
+    // chains ring publications of conflicting ops, so a slave that sees a
+    // later conflicting entry is guaranteed to also see every earlier one
+    // (the §8 visibility argument the PO dependence wait relies on).
+    const TotalOrderRuntime::Entry entry{runtime_->record_shards_.DrawTicket()};
+    RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, *pending_[tid].shard,
+                   runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
     return;
   }
 
-  if (runtime_->config_.sharded_recording) {
-    runtime_->thread_rings_.Get(tid).Advance(consumer_id_);
-    // Release the ratchet: hands this op's effects to whichever thread owns
-    // the next sequence (its acquire load in BeforeSyncOp pairs with this).
-    runtime_->replay_fronts_[consumer_id_].next_seq.store(pending_[tid].seq + 1,
-                                                          std::memory_order_release);
-  } else {
-    runtime_->ring_.Advance(consumer_id_);
-  }
+  runtime_->thread_rings_.Get(tid).Advance(consumer_id_);
+  // Release the ratchet: hands this op's effects to whichever thread owns
+  // the next sequence (its acquire load in BeforeSyncOp pairs with this).
+  runtime_->replay_fronts_[consumer_id_].next_seq.store(pending_[tid].seq + 1,
+                                                        std::memory_order_release);
   runtime_->stats_.shard(stats_variant_, tid).ops_replayed.Add();
 }
 

@@ -13,7 +13,7 @@ WallOfClocksRuntime::WallOfClocksRuntime(const AgentConfig& config, AgentControl
       control_(std::move(control)),
       stats_(config_),
       master_clocks_(config_.clock_count),
-      rings_(true, config_),
+      rings_(config_),
       slave_clocks_(config_.num_variants > 0 ? config_.num_variants - 1 : 0) {
   for (auto& clocks : slave_clocks_) {
     clocks = std::vector<SlaveClock>(config_.clock_count);

@@ -11,8 +11,8 @@ namespace mvee {
 namespace {
 
 // The textbook worklist solver over std::set — the seed implementation,
-// kept verbatim in spirit as the measurable baseline (same role as the
-// global-lock recording path behind MVEE_SHARDED_RECORDING=0). One register
+// kept verbatim in spirit as the measurable baseline and the wave solver's
+// equality oracle (selected by MVEE_ANALYSIS_FAST_SOLVER=0). One register
 // pops at a time and re-inserts its entire points-to set into every
 // successor; indirect calls re-resolve against the full set on every pop.
 struct BaselineSolution {

@@ -1,8 +1,8 @@
 // Analysis engine knobs.
 //
-// Same baseline-toggle contract as AgentConfig::sharded_recording
-// (MVEE_SHARDED_RECORDING) and friends: the production configuration is the
-// default, the seed/textbook configuration stays in-binary behind a bool, an
+// Baseline-toggle contract (MVEE_ANALYSIS_FAST_SOLVER, below): the
+// production configuration is the default, the seed/textbook configuration
+// stays in-binary behind a bool as the tests' equality oracle, an
 // environment variable flips the default so whole test suites sweep the
 // baseline without edits, and explicit assignments in code always win.
 

@@ -46,11 +46,9 @@ struct MveeReport {
   uint64_t sync_ops_replayed = 0;
   uint64_t replay_stalls = 0;
   uint64_t record_stalls = 0;
-  // Spins the master burned acquiring its record lock (the global TO/PO
-  // master lock, or a per-variable shard lock under sharded_recording —
-  // docs/DESIGN.md §8). The sharded path should keep this near the
-  // program's own contention; the global lock accumulates it on every
-  // cross-thread sync-op overlap.
+  // Spins the TO/PO master burned acquiring its per-variable record shard
+  // lock (docs/DESIGN.md §8). Stays near the program's own contention on
+  // its sync variables, plus shard collisions.
   uint64_t record_lock_spins = 0;
   // Syscall-ordering domain lifecycle (docs/syscall_ordering.md): per-fd
   // domains created on first stamp, retired at close, reclaimed at

@@ -20,8 +20,7 @@
 // side). The result is that Push/Peek/Pop/Advance touch no remote cache
 // lines in steady state — the cross-core read-write sharing the paper blames
 // for the simple agents' slowdowns (§4.5) is confined to the empty/full
-// edges. `EnableCursorCaching(false)` restores the rescan-every-op behavior
-// (bench_ring_throughput measures both in one run).
+// edges.
 
 #ifndef MVEE_UTIL_SPSC_RING_H_
 #define MVEE_UTIL_SPSC_RING_H_
@@ -65,12 +64,6 @@ class BroadcastRing {
   }
 
   size_t consumer_count() const { return consumer_count_; }
-
-  // Bootstrap/bench toggle: when disabled, every operation consults the
-  // authoritative cursors (the pre-Disruptor behavior). Not thread-safe; flip
-  // only before production starts.
-  void EnableCursorCaching(bool enabled) { cursor_caching_ = enabled; }
-  bool cursor_caching() const { return cursor_caching_; }
 
   // Producer side: blocks (spin-waits) until a slot is free, then publishes.
   // Returns the sequence number of the published element.
@@ -123,8 +116,7 @@ class BroadcastRing {
   }
 
   // Consumer side: peeks at the element `offset` ahead of the cursor without
-  // consuming. Returns false if not yet produced. Used by the partial-order
-  // agent's lookahead window.
+  // consuming. Returns false if not yet produced.
   bool Peek(size_t consumer, uint64_t offset, T* out) const {
     const auto& cursor = cursors_[consumer].read;
     const uint64_t read = cursor.load(std::memory_order_relaxed);
@@ -133,10 +125,11 @@ class BroadcastRing {
       return false;
     }
     ReadSlot(want, out);
-    // Threads sharing a consumer id (the global-lock total-order slaves) may
-    // have consumed `want` since the cursor load, and the producer may then
-    // have reused its slot for want + capacity: the copy is valid only while
-    // the cursor has not passed `want`, which bars that reuse.
+    // Another thread on the same consumer id (e.g. a detached variant's
+    // straggler, see DetachConsumer) may have consumed `want` since the
+    // cursor load, and the producer may then have reused its slot for
+    // want + capacity: the copy is valid only while the cursor has not
+    // passed `want`, which bars that reuse.
     std::atomic_thread_fence(std::memory_order_acquire);
     return cursor.load(std::memory_order_relaxed) <= want;
   }
@@ -148,33 +141,11 @@ class BroadcastRing {
     cursor.store(cursor.load(std::memory_order_relaxed) + 1, std::memory_order_release);
   }
 
-  // Consumer side: advances the cursor to `seq` (monotonic CAS-max). Safe
-  // under concurrent advancers, unlike Advance: racing retirers (the
-  // partial-order agent's lock-free retire loop) may publish their advances
-  // out of order, and the max-CAS keeps the cursor monotonic either way.
-  void AdvanceTo(size_t consumer, uint64_t seq) {
-    auto& cursor = cursors_[consumer].read;
-    uint64_t current = cursor.load(std::memory_order_relaxed);
-    while (current < seq &&
-           !cursor.compare_exchange_weak(current, seq, std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
-  // Reads the element at absolute sequence `seq` if it has been produced.
-  // The caller must guarantee `seq` has not been retired (i.e. seq >= the
-  // minimum consumer cursor); within that window slots are stable.
-  bool TryRead(uint64_t seq, T* out) const {
-    if (seq >= write_cursor_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    ReadSlot(seq, out);
-    return true;
-  }
-
-  // As above, but gates through `consumer`'s cached write cursor so a hit
-  // stays on the consumer's own cache line. Same retirement caveat; used by
-  // the partial-order agent's window scans.
+  // Reads the element at absolute sequence `seq` if it has been produced,
+  // gating through `consumer`'s cached write cursor so a hit stays on the
+  // consumer's own cache line. The caller must guarantee `seq` has not been
+  // retired (i.e. seq >= the minimum consumer cursor); within that window
+  // slots are stable. Used by TicketedRingMerge's dependence scan.
   bool TryRead(size_t consumer, uint64_t seq, T* out) const {
     if (seq >= VisibleWriteCursor(consumer, seq)) {
       return false;
@@ -210,10 +181,10 @@ class BroadcastRing {
  private:
   // One line per consumer: `read` is written by the consumer and read by the
   // producer (only on gate refresh); `cached_write` is the consumer's private
-  // lower bound of the producer's write cursor. Threads of one slave variant
-  // may share a consumer id, so the cache is an atomic: the release-store on
-  // refresh hands the producer's publications to sibling threads that later
-  // acquire-load the cached value.
+  // lower bound of the producer's write cursor. It is refreshed from const
+  // reads and a consumer id may have more than one reader (see Peek), so the
+  // cache is an atomic: the release-store on refresh hands the producer's
+  // publications to any reader that later acquire-loads the cached value.
   struct alignas(64) ConsumerCursor {
     std::atomic<uint64_t> read{0};
     mutable std::atomic<uint64_t> cached_write{0};
@@ -223,11 +194,11 @@ class BroadcastRing {
   };
 
   // Slots hold T as relaxed atomic words. Readers that share a consumer id,
-  // and the partial-order window scan, may read a slot while the producer
-  // reuses it; they validate the copy against the cursors afterwards, and
-  // the word-wise atomic copy keeps that read free of a data race. A relaxed
-  // word access compiles to a plain move on x86. Publication still rides the
-  // write cursor's release/acquire.
+  // and TicketedRingMerge's dependence scan, may read a slot while the
+  // producer reuses it; they validate the copy against the cursors (or poll
+  // again), and the word-wise atomic copy keeps that read free of a data
+  // race. A relaxed word access compiles to a plain move on x86. Publication
+  // still rides the write cursor's release/acquire.
   static_assert(std::is_trivially_copyable_v<T>);
   static constexpr size_t kSlotWords = (sizeof(T) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
   struct Slot {
@@ -258,7 +229,7 @@ class BroadcastRing {
   // apparent full ring forces the remote rescan. (`free_until_` cannot
   // overflow: sequences are monotonic 64-bit counts.)
   bool HasSpace(uint64_t seq) {
-    if (cursor_caching_ && seq < free_until_) [[likely]] {
+    if (seq < free_until_) [[likely]] {
       return true;
     }
     free_until_ = MinReadCursor() + capacity_;
@@ -268,22 +239,19 @@ class BroadcastRing {
   // First sequence not yet visible to `consumer`; refreshes the consumer's
   // cached write cursor only when `want` appears unavailable. The refresh
   // store is skipped when nothing changed, so a consumer spinning on an
-  // empty ring keeps its cursor line clean (sibling threads sharing the
-  // consumer id would otherwise invalidate each other every iteration).
+  // empty ring keeps its cursor line clean (the producer reads `read` on the
+  // same line when it refreshes its gate).
   uint64_t VisibleWriteCursor(size_t consumer, uint64_t want) const {
     const ConsumerCursor& cursor = cursors_[consumer];
-    if (cursor_caching_) [[likely]] {
-      const uint64_t cached = cursor.cached_write.load(std::memory_order_acquire);
-      if (want < cached) [[likely]] {
-        return cached;
-      }
-      const uint64_t fresh = write_cursor_.load(std::memory_order_acquire);
-      if (fresh != cached) {
-        cursor.cached_write.store(fresh, std::memory_order_release);
-      }
-      return fresh;
+    const uint64_t cached = cursor.cached_write.load(std::memory_order_acquire);
+    if (want < cached) [[likely]] {
+      return cached;
     }
-    return write_cursor_.load(std::memory_order_acquire);
+    const uint64_t fresh = write_cursor_.load(std::memory_order_acquire);
+    if (fresh != cached) {
+      cursor.cached_write.store(fresh, std::memory_order_release);
+    }
+    return fresh;
   }
 
   uint64_t MinReadCursor() const {
@@ -319,11 +287,10 @@ class BroadcastRing {
   uint64_t free_until_ = 0;  // first sequence the cached gate would reject
   ConsumerCursor cursors_[kMaxConsumers];
   size_t consumer_count_ = 0;
-  bool cursor_caching_ = true;
 };
 
 // Deterministic merge over per-thread ticketed rings — the REFERENCE MODEL
-// of the sharded recording protocol (docs/DESIGN.md §8), exercised by
+// of the TO/PO recording protocol (docs/DESIGN.md §8), exercised by
 // util_test. The production agents specialize it rather than call it: the
 // TO slave distributes TryPopNext into own-ring fronts plus a next_seq
 // ratchet, and the PO slave replaces AnyUnconsumedBelow with recorded
@@ -332,7 +299,7 @@ class BroadcastRing {
 // partial_order.h). Keep this class in sync with docs/DESIGN.md §8 when the
 // protocol changes.
 //
-// The sharded TO/PO masters record into one ring per master thread; every
+// The TO/PO masters record into one ring per master thread; every
 // entry carries a global sequence number drawn from a single fetch_add
 // ticket counter, so the union of the rings is a dense sequence 0,1,2,...
 // Slaves reconstruct the recorded order by merging the rings on those

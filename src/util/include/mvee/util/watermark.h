@@ -1,7 +1,7 @@
 // PrefixWatermark: a shared min-replayed-sequence watermark over a dense
 // ticket space (docs/DESIGN.md §8/§11).
 //
-// The sharded TO/PO recording path stamps every recorded op with a global
+// The TO/PO recording path stamps every recorded op with a global
 // ticket sequence (record_shards.h). Several consumers — the partial-order
 // master's po_window gate, and diagnostic "how far has variant v replayed"
 // probes — need the answer to one question about the replay side: "every
@@ -10,18 +10,18 @@
 // replaying threads mark each finished sequence in a slot array and the
 // watermark is the length of the contiguous marked prefix.
 //
-// The marking scheme is the one partial_order.cc's baseline retire loop
-// proved out: marks[seq & mask] == seq + 1 means `seq` is done. The mark is
-// the sequence itself rather than a 0/1 flag so slot reuse across laps needs
-// no clearing step — a stale mark from the previous lap never equals the
-// current lap's seq + 1.
+// The marking scheme: marks[seq & mask] == seq + 1 means `seq` is done. The
+// mark is the sequence itself rather than a 0/1 flag so slot reuse across
+// laps needs no clearing step — a stale mark from the previous lap never
+// equals the current lap's seq + 1.
 //
 // Division of labor, deliberately asymmetric: Mark() is a single release
 // store on a striped slot (the replay hot path adds no shared-line CAS), and
 // the *waiting* side calls TryAdvance() + Prefix() — it is already stalled,
 // so it donates the CAS work of collapsing the marked prefix into the base
 // counter. Any thread may call TryAdvance concurrently; each slot has
-// exactly one CAS winner (same argument as RetireConsumedPrefix).
+// exactly one CAS winner: a CAS from base to base + 1 succeeds for one
+// thread only, and the loser reloads the advanced base.
 //
 // Capacity contract: a mark at `seq` is only safe while seq - Prefix() <
 // capacity. Callers enforce it by gating producers on the watermark (the

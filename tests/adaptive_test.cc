@@ -2,7 +2,7 @@
 // (docs/DESIGN.md §11): static plan derivation from the analysis pipeline,
 // plan-seeded route dispatch, the migration epoch handshake (forced and
 // controller-driven), the allocation-free hot-path lookup, lazy recording
-// rings, the sharded po_window gate, and the Mvee-level wiring.
+// rings, the po_window gate, and the Mvee-level wiring.
 
 #include <gtest/gtest.h>
 
@@ -733,7 +733,6 @@ TEST(LazyRingTest, RingsMaterializeOnlyForActiveThreads) {
   AgentConfig config;
   config.num_variants = 2;
   config.max_threads = 64;
-  config.sharded_recording = true;
   config.buffer_capacity = 1 << 10;
   std::atomic<bool> abort{false};
   AgentControl control;
@@ -761,14 +760,13 @@ TEST(LazyRingTest, RingsMaterializeOnlyForActiveThreads) {
   EXPECT_EQ(runtime.RecordingRingsCreated(), 2u);
 }
 
-// AgentConfig::po_window under sharded recording: the master may run ahead
+// AgentConfig::po_window: the master may run ahead
 // of the slowest slave's replayed prefix by at most po_window (plus the
 // bounded overshoot of threads already past the gate when the limit moved).
 TEST(PoWindowTest, ShardedMasterRunaheadIsBounded) {
   AgentConfig config;
   config.num_variants = 2;
   config.max_threads = 1;
-  config.sharded_recording = true;
   config.po_window = 8;
   config.buffer_capacity = 1 << 10;
   config.replay_deadline = std::chrono::milliseconds(20000);

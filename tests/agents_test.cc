@@ -17,7 +17,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "mvee/agents/agent_fleet.h"
@@ -51,16 +50,14 @@ struct ReplayHarnessResult {
 // sections on pseudo-randomly chosen locks (the per-thread choice sequence is
 // seeded by tid only, so all variants run the same per-thread program).
 ReplayHarnessResult RunReplayHarness(AgentKind kind, uint32_t variants, uint32_t threads,
-                                     size_t lock_count, int ops,
-                                     bool sharded_recording = DefaultShardedRecording(),
-                                     uint32_t max_threads = 0, uint32_t tid_offset = 0) {
+                                     size_t lock_count, int ops, uint32_t max_threads = 0,
+                                     uint32_t tid_offset = 0) {
   AgentConfig config;
   config.num_variants = variants;
   config.max_threads = max_threads == 0 ? threads + tid_offset : max_threads;
   config.buffer_capacity = 1 << 14;
   config.clock_count = 64;  // Small wall: force collisions on purpose.
   config.replay_deadline = std::chrono::milliseconds(20000);
-  config.sharded_recording = sharded_recording;
 
   std::atomic<bool> abort{false};
   AgentControl control;
@@ -103,19 +100,15 @@ ReplayHarnessResult RunReplayHarness(AgentKind kind, uint32_t variants, uint32_t
   return result;
 }
 
-// Swept over (agent kind, sharded_recording): the ticketed-ring recording
-// path and the global-lock baseline must produce identical replay verdicts
-// (WoC/PVO ignore the toggle; they run under both settings as a no-change
-// control).
-class AgentReplayTest : public ::testing::TestWithParam<std::tuple<AgentKind, bool>> {
+// Swept over every recording agent kind.
+class AgentReplayTest : public ::testing::TestWithParam<AgentKind> {
  protected:
-  AgentKind kind() const { return std::get<0>(GetParam()); }
-  bool sharded() const { return std::get<1>(GetParam()); }
+  AgentKind kind() const { return GetParam(); }
 };
 
 TEST_P(AgentReplayTest, SlavesReproducePerLockAcquisitionOrder) {
   const auto result = RunReplayHarness(kind(), /*variants=*/2, /*threads=*/4,
-                                       /*lock_count=*/8, /*ops=*/300, sharded());
+                                       /*lock_count=*/8, /*ops=*/300);
   ASSERT_TRUE(result.ok);
   const auto& master = *result.states[0];
   const auto& slave = *result.states[1];
@@ -126,7 +119,7 @@ TEST_P(AgentReplayTest, SlavesReproducePerLockAcquisitionOrder) {
 
 TEST_P(AgentReplayTest, ThreeSlavesAllMatch) {
   const auto result = RunReplayHarness(kind(), /*variants=*/4, /*threads=*/3,
-                                       /*lock_count=*/4, /*ops=*/150, sharded());
+                                       /*lock_count=*/4, /*ops=*/150);
   ASSERT_TRUE(result.ok);
   for (uint32_t v = 1; v < 4; ++v) {
     for (size_t lock = 0; lock < result.states[0]->logs.size(); ++lock) {
@@ -138,14 +131,14 @@ TEST_P(AgentReplayTest, ThreeSlavesAllMatch) {
 
 TEST_P(AgentReplayTest, SingleThreadIsTrivial) {
   const auto result = RunReplayHarness(kind(), /*variants=*/2, /*threads=*/1,
-                                       /*lock_count=*/2, /*ops=*/100, sharded());
+                                       /*lock_count=*/2, /*ops=*/100);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.states[0]->logs, result.states[1]->logs);
 }
 
 TEST_P(AgentReplayTest, HighContentionSingleLock) {
   const auto result = RunReplayHarness(kind(), /*variants=*/2, /*threads=*/4,
-                                       /*lock_count=*/1, /*ops=*/200, sharded());
+                                       /*lock_count=*/1, /*ops=*/200);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.states[0]->logs[0], result.states[1]->logs[0]);
   EXPECT_EQ(result.states[0]->logs[0].size(), 800u);
@@ -157,7 +150,7 @@ TEST_P(AgentReplayTest, HighContentionSingleLock) {
 // tids 292..299 through a 300-thread config.
 TEST_P(AgentReplayTest, MaxThreadsBeyond256) {
   const auto result = RunReplayHarness(kind(), /*variants=*/2, /*threads=*/8,
-                                       /*lock_count=*/4, /*ops=*/50, sharded(),
+                                       /*lock_count=*/4, /*ops=*/50,
                                        /*max_threads=*/300, /*tid_offset=*/292);
   ASSERT_TRUE(result.ok);
   const auto& master = *result.states[0];
@@ -167,34 +160,25 @@ TEST_P(AgentReplayTest, MaxThreadsBeyond256) {
   }
 }
 
-std::string ReplayParamName(const ::testing::TestParamInfo<std::tuple<AgentKind, bool>>& info) {
-  std::string name;
-  switch (std::get<0>(info.param)) {
+std::string ReplayParamName(const ::testing::TestParamInfo<AgentKind>& info) {
+  switch (info.param) {
     case AgentKind::kTotalOrder:
-      name = "TotalOrder";
-      break;
+      return "TotalOrder";
     case AgentKind::kPartialOrder:
-      name = "PartialOrder";
-      break;
+      return "PartialOrder";
     case AgentKind::kWallOfClocks:
-      name = "WallOfClocks";
-      break;
+      return "WallOfClocks";
     case AgentKind::kPerVariableOrder:
-      name = "PerVariableOrder";
-      break;
+      return "PerVariableOrder";
     default:
-      name = "Null";
-      break;
+      return "Null";
   }
-  return name + (std::get<1>(info.param) ? "Sharded" : "GlobalLock");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAgents, AgentReplayTest,
-                         ::testing::Combine(::testing::Values(AgentKind::kTotalOrder,
-                                                              AgentKind::kPartialOrder,
-                                                              AgentKind::kWallOfClocks,
-                                                              AgentKind::kPerVariableOrder),
-                                            ::testing::Bool()),
+                         ::testing::Values(AgentKind::kTotalOrder, AgentKind::kPartialOrder,
+                                           AgentKind::kWallOfClocks,
+                                           AgentKind::kPerVariableOrder),
                          ReplayParamName);
 
 TEST(AgentStatsTest, RecordedEqualsReplayedPerSlave) {
@@ -299,21 +283,20 @@ TEST(AgentStatsTest, FiveVariantFleetCountsExactlyForHighTids) {
   EXPECT_EQ(snapshot.ops_replayed, (kVariants - 1) * 2u * kOps);
 }
 
-// Regression: the global-lock total-order slaves of one variant share a
-// ring consumer id. A slave that loaded the read cursor, lost the CPU, and
-// then read the slot could see the producer's NEXT use of that slot (the
-// cursor had moved on and the slot was reused), take an entry naming itself
-// as its turn, and advance the cursor past another thread's entry — which
-// then waited forever. A tiny ring makes slot reuse constant.
-TEST(AgentReplayTest, SharedConsumerPeekSurvivesSlotReuse) {
+// Ticketed total-order replay while every per-thread ring wraps constantly:
+// 64-slot rings against 20k ops per thread keep the masters parked on full
+// rings (record stalls) while the slaves' sequence ratchet hands each slot
+// back. A slave that read a recycled slot, or a master that overwrote an
+// unconsumed one, would replay out of order and trip the deadline.
+TEST(AgentReplayTest, TicketedTotalOrderSurvivesConstantRingWrap) {
   constexpr uint32_t kThreads = 8;
   constexpr int kOps = 20000;
-  HardTimeout timeout(std::chrono::seconds(120), "AgentReplayTest.SharedConsumerPeekSurvivesSlotReuse");
+  HardTimeout timeout(std::chrono::seconds(120),
+                      "AgentReplayTest.TicketedTotalOrderSurvivesConstantRingWrap");
   AgentConfig config;
   config.num_variants = 2;
   config.max_threads = kThreads;
   config.buffer_capacity = 64;
-  config.sharded_recording = false;
   config.adaptive_agents = false;
   config.replay_deadline = std::chrono::milliseconds(20000);
   std::atomic<bool> abort{false};
@@ -351,7 +334,12 @@ TEST(AgentReplayTest, SharedConsumerPeekSurvivesSlotReuse) {
     thread.join();
   }
   EXPECT_FALSE(stalled.load());
-  EXPECT_EQ(fleet.StatsSnapshot().ops_replayed, uint64_t{kThreads} * kOps);
+  const AgentStatsSnapshot stats = fleet.StatsSnapshot();
+  EXPECT_EQ(stats.ops_replayed, uint64_t{kThreads} * kOps);
+  // The serialized replay cannot keep pace with eight parallel recorders,
+  // so 64 slots fill up: thousands of record stalls per run on a 4-core
+  // host.
+  EXPECT_GT(stats.record_stalls, 0u);
 }
 
 TEST(AgentAbortTest, AbortFlagReleasesStalledSlave) {
@@ -958,13 +946,12 @@ TEST(PerVariableTableTest, HugeClockCountClampsInsteadOfOverflowing) {
   EXPECT_LE(huge, size_t{1} << 28);
 }
 
-// --- Ticketed sharded recording (docs/DESIGN.md §8) ---
+// --- Ticketed recording (docs/DESIGN.md §8) ---
 
 TEST(ShardedRecordingTest, TicketCounterMatchesOpsRecorded) {
   AgentConfig config;
   config.num_variants = 2;
   config.max_threads = 2;
-  config.sharded_recording = true;
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
@@ -1001,40 +988,15 @@ TEST(ShardedRecordingTest, TicketCounterMatchesOpsRecorded) {
   EXPECT_EQ(po_runtime.SequencesIssued(), 7u);
 }
 
-TEST(ShardedRecordingTest, BaselineIssuesNoTickets) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.max_threads = 1;
-  config.sharded_recording = false;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  TotalOrderRuntime runtime(config, control);
-  auto master = runtime.CreateAgent(0);
-  auto slave = runtime.CreateAgent(1);
-  int var = 0;
-  for (int i = 0; i < 5; ++i) {
-    master->BeforeSyncOp(0, &var);
-    master->AfterSyncOp(0, &var);
-    slave->BeforeSyncOp(0, &var);
-    slave->AfterSyncOp(0, &var);
-  }
-  EXPECT_EQ(runtime.SequencesIssued(), 0u);
-  EXPECT_EQ(runtime.OpsRecorded(), 5u);
-  EXPECT_EQ(runtime.stats().Aggregate().ops_replayed, 5u);
-}
-
-// Both-toggle verdict/output equivalence under a full MVEE run (mirrors the
-// vkernel toggle sweep): for TO and PO, the ticketed-ring path and the
-// global-lock baseline must reach the same verdict and program output.
-std::string RecordingSweepResult(AgentKind kind, bool sharded_recording) {
+// Verdict and program output of a full MVEE run of two workers alternating
+// between two mutexes, under TO or PO recording.
+std::string RecordingRunResult(AgentKind kind) {
   MveeOptions options;
   options.num_variants = 2;
   options.agent = kind;
   options.enable_aslr = false;
   options.rendezvous_timeout = std::chrono::milliseconds(20000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(20000);
-  options.agent_config.sharded_recording = sharded_recording;
   Mvee mvee(options);
   const Status status = mvee.Run([](VariantEnv& env) {
     auto mutex_a = std::make_shared<Mutex>();
@@ -1063,8 +1025,7 @@ std::string RecordingSweepResult(AgentKind kind, bool sharded_recording) {
     env.Write(fd, std::to_string(*counter_a) + "," + std::to_string(*counter_b));
     env.Close(fd);
   });
-  EXPECT_TRUE(status.ok()) << AgentKindName(kind) << " sharded=" << sharded_recording << ": "
-                           << status.ToString();
+  EXPECT_TRUE(status.ok()) << AgentKindName(kind) << ": " << status.ToString();
   if (!status.ok()) {
     return "<failed>";
   }
@@ -1082,24 +1043,20 @@ std::string RecordingSweepResult(AgentKind kind, bool sharded_recording) {
 TEST(ShardedRecordingTest, TidBeyondMaxThreadsKillsVariantLoudly) {
   for (AgentKind kind : {AgentKind::kTotalOrder, AgentKind::kPartialOrder,
                          AgentKind::kWallOfClocks, AgentKind::kPerVariableOrder}) {
-    for (bool sharded : {true, false}) {
-      AgentConfig config;
-      config.num_variants = 2;
-      config.max_threads = 2;
-      config.buffer_capacity = 1 << 8;
-      config.sharded_recording = sharded;
-      std::atomic<bool> abort{false};
-      std::atomic<bool> reported{false};
-      AgentControl control;
-      control.abort_flag = &abort;
-      control.on_stall = [&](const std::string&) { reported.store(true); };
-      AgentFleet fleet(kind, config, control);
-      auto master = fleet.CreateAgent(0);
-      int var = 0;
-      EXPECT_THROW(master->BeforeSyncOp(/*tid=*/2, &var), VariantKilled)
-          << AgentKindName(kind) << " sharded=" << sharded;
-      EXPECT_TRUE(reported.load()) << AgentKindName(kind) << " sharded=" << sharded;
-    }
+    AgentConfig config;
+    config.num_variants = 2;
+    config.max_threads = 2;
+    config.buffer_capacity = 1 << 8;
+    std::atomic<bool> abort{false};
+    std::atomic<bool> reported{false};
+    AgentControl control;
+    control.abort_flag = &abort;
+    control.on_stall = [&](const std::string&) { reported.store(true); };
+    AgentFleet fleet(kind, config, control);
+    auto master = fleet.CreateAgent(0);
+    int var = 0;
+    EXPECT_THROW(master->BeforeSyncOp(/*tid=*/2, &var), VariantKilled) << AgentKindName(kind);
+    EXPECT_TRUE(reported.load()) << AgentKindName(kind);
   }
 }
 
@@ -1118,12 +1075,9 @@ TEST(ShardedRecordingTest, ExcessiveVariantCountClampsCoherently) {
   }
 }
 
-TEST(ShardedRecordingTest, VerdictAndOutputEquivalenceUnderMvee) {
+TEST(ShardedRecordingTest, VerdictAndOutputMatchOracleUnderMvee) {
   for (AgentKind kind : {AgentKind::kTotalOrder, AgentKind::kPartialOrder}) {
-    const std::string sharded = RecordingSweepResult(kind, true);
-    const std::string baseline = RecordingSweepResult(kind, false);
-    EXPECT_EQ(sharded, "40,40") << AgentKindName(kind);
-    EXPECT_EQ(sharded, baseline) << AgentKindName(kind);
+    EXPECT_EQ(RecordingRunResult(kind), "40,40") << AgentKindName(kind);
   }
 }
 

@@ -184,61 +184,6 @@ TEST(BroadcastRingTest, PeekDoesNotConsume) {
   EXPECT_EQ(value, 8);
 }
 
-TEST(BroadcastRingTest, TryReadAbsoluteSequence) {
-  BroadcastRing<int> ring(8);
-  ring.RegisterConsumer();
-  ring.Push(10);
-  ring.Push(11);
-  int value = 0;
-  EXPECT_TRUE(ring.TryRead(0, &value));
-  EXPECT_EQ(value, 10);
-  EXPECT_TRUE(ring.TryRead(1, &value));
-  EXPECT_EQ(value, 11);
-  EXPECT_FALSE(ring.TryRead(2, &value));
-}
-
-TEST(BroadcastRingTest, AdvanceToIsMonotonicUnderRacingAdvancers) {
-  BroadcastRing<int> ring(8);
-  const size_t consumer = ring.RegisterConsumer();
-  for (int i = 0; i < 6; ++i) {
-    ring.Push(i);
-  }
-  // Out-of-order winners (the PO retire loop's lagging-thread case): the
-  // larger advance lands first, the smaller one must be a no-op.
-  ring.AdvanceTo(consumer, 4);
-  EXPECT_EQ(ring.ReadCursor(consumer), 4u);
-  ring.AdvanceTo(consumer, 2);
-  EXPECT_EQ(ring.ReadCursor(consumer), 4u);
-  ring.AdvanceTo(consumer, 6);
-  EXPECT_EQ(ring.ReadCursor(consumer), 6u);
-  // The producer may now lap the retired slots — exactly `capacity` entries
-  // fit past the advanced cursor.
-  for (int i = 6; i < 14; ++i) {
-    EXPECT_TRUE(ring.TryPush(i));
-  }
-  EXPECT_FALSE(ring.TryPush(99));
-}
-
-TEST(BroadcastRingTest, AdvanceToConcurrentMaxWins) {
-  BroadcastRing<uint64_t> ring(1 << 12);
-  const size_t consumer = ring.RegisterConsumer();
-  for (uint64_t i = 0; i < 4000; ++i) {
-    ring.Push(i);
-  }
-  std::vector<std::thread> advancers;
-  for (int t = 0; t < 4; ++t) {
-    advancers.emplace_back([&, t] {
-      for (uint64_t seq = 1 + t; seq <= 4000; seq += 4) {
-        ring.AdvanceTo(consumer, seq);
-      }
-    });
-  }
-  for (auto& thread : advancers) {
-    thread.join();
-  }
-  EXPECT_EQ(ring.ReadCursor(consumer), 4000u);
-}
-
 // --- TicketedRingMerge (the sharded TO/PO recording merge, docs/DESIGN.md §8) ---
 
 struct TicketEntry {
@@ -331,17 +276,11 @@ TEST(BroadcastRingTest, ConcurrentProducerConsumer) {
   producer.join();
 }
 
-// The cached-cursor fast path must be observationally identical to the
-// rescan-every-op ring, so every invariant below runs in both modes.
-class BroadcastRingCachingTest : public ::testing::TestWithParam<bool> {
- protected:
-  bool caching() const { return GetParam(); }
-};
-
-TEST_P(BroadcastRingCachingTest, WraparoundPastCapacityKeepsFifo) {
+// Invariants of the cached gating cursors: a stale cache may delay progress
+// but must never admit an overwrite or a premature read.
+TEST(BroadcastRingCachingTest, WraparoundPastCapacityKeepsFifo) {
   BroadcastRing<uint64_t> ring(8);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   // Many times around the ring: every slot is reused repeatedly and the
   // producer gate must track the consumer exactly.
   for (uint64_t i = 0; i < 100; ++i) {
@@ -359,11 +298,10 @@ TEST_P(BroadcastRingCachingTest, WraparoundPastCapacityKeepsFifo) {
   }
 }
 
-TEST_P(BroadcastRingCachingTest, SlowestConsumerGatesProducer) {
+TEST(BroadcastRingCachingTest, SlowestConsumerGatesProducer) {
   BroadcastRing<int> ring(4);
   const size_t fast = ring.RegisterConsumer();
   const size_t slow = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(ring.TryPush(i));
   }
@@ -384,10 +322,9 @@ TEST_P(BroadcastRingCachingTest, SlowestConsumerGatesProducer) {
   EXPECT_EQ(ring.Pop(fast), 100);
 }
 
-TEST_P(BroadcastRingCachingTest, PeekLookaheadWindow) {
+TEST(BroadcastRingCachingTest, PeekLookaheadWindow) {
   BroadcastRing<int> ring(8);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   for (int i = 0; i < 6; ++i) {
     ring.Push(i);
   }
@@ -411,10 +348,9 @@ TEST_P(BroadcastRingCachingTest, PeekLookaheadWindow) {
   EXPECT_EQ(value, 6);
 }
 
-TEST_P(BroadcastRingCachingTest, TryPushFailsExactlyWhenFull) {
+TEST(BroadcastRingCachingTest, TryPushFailsExactlyWhenFull) {
   BroadcastRing<int> ring(4);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   // Warm the producer's cached gate first, so fullness is detected against a
   // stale cache and forces the authoritative rescan.
   for (int round = 0; round < 3; ++round) {
@@ -431,10 +367,9 @@ TEST_P(BroadcastRingCachingTest, TryPushFailsExactlyWhenFull) {
   EXPECT_FALSE(ring.TryPush(99));
 }
 
-TEST_P(BroadcastRingCachingTest, ConsumerAwareTryReadTracksProduction) {
+TEST(BroadcastRingCachingTest, ConsumerAwareTryReadTracksProduction) {
   BroadcastRing<int> ring(8);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   int value = -1;
   EXPECT_FALSE(ring.TryRead(consumer, 0, &value));
   ring.Push(10);
@@ -449,13 +384,12 @@ TEST_P(BroadcastRingCachingTest, ConsumerAwareTryReadTracksProduction) {
   EXPECT_EQ(value, 12);
 }
 
-TEST_P(BroadcastRingCachingTest, ConcurrentBroadcastTwoConsumers) {
+TEST(BroadcastRingCachingTest, ConcurrentBroadcastTwoConsumers) {
   // Tiny capacity maximizes gate refreshes and full/empty edges — the paths
   // where a stale cache would admit an overwrite or a premature read.
   BroadcastRing<uint64_t> ring(16);
   const size_t c0 = ring.RegisterConsumer();
   const size_t c1 = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   constexpr uint64_t kCount = 20000;
   // Count mismatches instead of asserting inside the threads: an early
   // return there would strand the blocking producer (hang) or destroy a
@@ -479,11 +413,6 @@ TEST_P(BroadcastRingCachingTest, ConcurrentBroadcastTwoConsumers) {
   drainer.join();
   EXPECT_EQ(mismatches.load(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(CachingModes, BroadcastRingCachingTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "CachedCursors" : "Uncached";
-                         });
 
 TEST(SampleStatsTest, BasicMoments) {
   SampleStats stats;
