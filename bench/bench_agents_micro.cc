@@ -136,6 +136,26 @@ void BM_ComparableDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_ComparableDigest)->Arg(64)->Arg(512)->Arg(4096);
 
+// What lockstep pays per master/slave pair instead: both deposits' scalar
+// digests plus the opener's in-place payload compare.
+void BM_LockstepCompare(benchmark::State& state) {
+  std::vector<uint8_t> master_payload(static_cast<size_t>(state.range(0)), 0xAB);
+  std::vector<uint8_t> slave_payload = master_payload;
+  SyscallRequest master;
+  master.sysno = Sysno::kWrite;
+  master.arg0 = 5;
+  master.arg1 = static_cast<int64_t>(master_payload.size());
+  master.in_data = master_payload;
+  SyscallRequest slave = master;
+  slave.in_data = slave_payload;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(master.ScalarDigest() == slave.ScalarDigest() &&
+                             slave.SamePayload(master));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LockstepCompare)->Arg(64)->Arg(512)->Arg(4096);
+
 // --- Instrumented primitives, uncontended fast paths (NullAgent) ---
 
 void BM_MutexUncontended(benchmark::State& state) {

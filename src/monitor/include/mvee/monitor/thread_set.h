@@ -7,9 +7,10 @@
 // of logical thread T rendezvous here on every syscall.
 //
 // Round protocol:
-//   1. gather    — every variant deposits its request; the last arriver
-//                  compares the diversity-normalized argument digests
-//                  (divergence => MVEE shutdown) and opens the round.
+//   1. gather    — every variant deposits its request and a scalar digest;
+//                  the last arriver compares the digests and every member's
+//                  in_data bytes against the master's, in place
+//                  (divergence => MVEE shutdown), and opens the round.
 //   2. execute   — class-dependent:
 //        kReplicated: master executes against the kernel (may block); the
 //                     result + output bytes are published to the slaves,
@@ -28,7 +29,7 @@
 // Lockstep rounds run on round slabs: a small ring of epoch-numbered,
 // cache-padded round structs. Variants arrive with one fetch_or, whichever
 // thread completes the live set claims the open (open_claim CAS), compares
-// digests and opens execution with a release store, slaves spin on the
+// the deposits and opens execution with a release store, slaves spin on the
 // slab's phase word (SpinWait) and fall back to a futex-style parked wait
 // after the spin budget. No mutex, no condvar, no allocation on the happy
 // path. Protocol walkthrough + memory ordering argument: docs/DESIGN.md §6.
@@ -159,15 +160,16 @@ class ThreadSetMonitor {
   // Monotonic per-round phases (the slab's state word).
   enum : uint32_t {
     kRoundGather = 0,     // collecting arrivals
-    kRoundOpen = 1,       // digests matched; execution may start
+    kRoundOpen = 1,       // deposits matched; execution may start
     kRoundMasterDone = 2  // master result published
   };
 
   // One variant's deposit, padded so concurrent arrivals never share a line.
   // `request` points at the arriving thread's stack and is valid only within
-  // the round (arrival RMW to slab reset); `sysno` mirrors it as an atomic so
-  // diagnostics (DebugString) can name in-flight calls without dereferencing
-  // a possibly-retired pointer.
+  // the round (arrival RMW to slab reset). `digest` is its ScalarDigest, no
+  // payload bytes, after the corrupt-digest fault site. `sysno` mirrors it
+  // as an atomic so diagnostics (DebugString) can name in-flight calls
+  // without dereferencing a possibly-retired pointer.
   struct alignas(64) ArrivalSlot {
     SyscallRequest* request = nullptr;
     uint64_t digest = 0;
@@ -242,7 +244,7 @@ class ThreadSetMonitor {
   bool SlabGatherComplete(const RoundSlab& slab) const;
 
   // Attempts to claim and open the slab round: samples membership, waits
-  // out dead variants mid-deposit, compares digests (excising a single
+  // out dead variants mid-deposit, compares the deposits (excising a single
   // outlier when policy permits), publishes kRoundOpen and runs the
   // combined master call. Returns true iff this thread was the opener.
   bool TryOpenSlabRound(RoundSlab& slab, uint64_t round, SyscallClass klass,
@@ -270,11 +272,11 @@ class ThreadSetMonitor {
   // caller's trap frame (which `slots[variant].request` points into) is
   // still alive. On normal completion this is a no-op; on an exceptional
   // unwind it holds the frame until no foreign thread can still read it:
-  // the opener dereferences every member's deposited request during the
-  // digest compare (pre-kRoundOpen) and keeps executing against the
-  // MASTER's request until kRoundMasterDone (flat combining). Unwinding
-  // through that window frees a stack another thread is reading — the
-  // cause of rare shutdown-race segfaults under poll-heavy servers.
+  // the opener dereferences every member's deposited request, in_data bytes
+  // included, during the compare (pre-kRoundOpen) and keeps executing
+  // against the MASTER's request until kRoundMasterDone (flat combining).
+  // Unwinding through that window frees a stack another thread is reading
+  // — the cause of rare shutdown-race segfaults under poll-heavy servers.
   void HoldFrameForCombiner(RoundSlab& slab, uint32_t variant);
 
   // Spins (then parks) until `ready()` holds. Returns false on rendezvous
@@ -284,12 +286,14 @@ class ThreadSetMonitor {
   template <typename Predicate>
   bool AwaitSlabState(Predicate&& ready, bool timed);
 
-  // Digest comparison across the slab's arrival slots, restricted to
-  // `members` (opener only). On mismatch returns a non-empty detail; when
-  // exactly one member disagrees with the master, `*outlier` names it so
-  // the caller can attempt excision instead of shutdown (a multi-way
-  // divergence leaves *outlier untouched and is always fatal — the master
-  // is as likely wrong as any slave).
+  // Lockstep comparison across the slab's arrival slots, restricted to
+  // `members` (opener only): sysno and scalar digest against the master's,
+  // then the in_data bytes in place (SyscallRequest::SamePayload). No
+  // payload byte is hashed. On mismatch returns a detail that names the
+  // first differing field; when exactly one member disagrees with the
+  // master, `*outlier` names it so the caller can attempt excision instead
+  // of shutdown (a multi-way divergence leaves *outlier untouched and is
+  // always fatal — the master is as likely wrong as any slave).
   std::string CompareSlabRoundLive(const RoundSlab& slab, uint32_t members,
                                    uint32_t* outlier) const;
 
@@ -344,10 +348,10 @@ class ThreadSetMonitor {
   // signals are in flight (see MonitorShared::pending_signal_count).
   void RouteSignals(const SyscallRequest& request, std::vector<int32_t>* out);
 
-  // The comparable digest of `request`, with the corrupt-digest fault site
-  // applied (docs/fault_injection.md): one relaxed-load branch when the
-  // fault layer is disarmed.
-  uint64_t DepositDigest(uint32_t variant, const SyscallRequest& request) const;
+  // `digest` (lockstep: ScalarDigest, loose: ComparableDigest) with the
+  // corrupt-digest fault site applied (docs/fault_injection.md): one
+  // relaxed-load branch when the fault layer is disarmed.
+  uint64_t DepositDigest(uint32_t variant, uint64_t digest) const;
 
   const uint32_t tid_;
   MonitorShared* const shared_;

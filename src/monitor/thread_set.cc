@@ -30,10 +30,10 @@ constexpr auto kParkSlice = std::chrono::microseconds(500);
 // of the thread unwinds again.
 thread_local bool t_crashed = false;
 
-// "No single outlier" sentinel for the live digest comparisons.
+// "No single outlier" sentinel for the live lockstep comparisons.
 constexpr uint32_t kNoOutlier = ~0u;
 
-// XOR mask the corrupt-digest fault applies to a victim's deposit.
+// XOR mask the corrupt-digest fault applies to a victim's deposited digest.
 constexpr uint64_t kDigestCorruption = 0xBADD16E57ull;
 
 }  // namespace
@@ -154,9 +154,7 @@ bool ThreadSetMonitor::MustCompare(const SyscallRequest& request) const {
   return true;
 }
 
-uint64_t ThreadSetMonitor::DepositDigest(uint32_t variant,
-                                         const SyscallRequest& request) const {
-  uint64_t digest = request.ComparableDigest();
+uint64_t ThreadSetMonitor::DepositDigest(uint32_t variant, uint64_t digest) const {
   if (FaultInjector::Global().ShouldFire(FaultSite::kCorruptDigest, variant))
       [[unlikely]] {
     digest ^= kDigestCorruption;
@@ -169,13 +167,17 @@ std::string ThreadSetMonitor::CompareSlabRoundLive(const RoundSlab& slab, uint32
   if ((members & 1u) == 0 || !MustCompare(*slab.slots[0].request)) {
     return "";
   }
+  const ArrivalSlot& master = slab.slots[0];
   uint32_t mismatched = 0;
   uint32_t rest = members & ~1u;
   while (rest != 0) {
     const uint32_t v = static_cast<uint32_t>(std::countr_zero(rest));
     rest &= rest - 1;
-    if (slab.slots[v].request->sysno != slab.slots[0].request->sysno ||
-        slab.slots[v].digest != slab.slots[0].digest) {
+    // Scalars through the deposited digests, then the payload bytes in place
+    // (sizes first): every member's frame is held until kRoundOpen.
+    const ArrivalSlot& slot = slab.slots[v];
+    if (slot.request->sysno != master.request->sysno || slot.digest != master.digest ||
+        !slot.request->SamePayload(*master.request)) {
       mismatched |= 1u << v;
     }
   }
@@ -183,16 +185,22 @@ std::string ThreadSetMonitor::CompareSlabRoundLive(const RoundSlab& slab, uint32
     return "";
   }
   const uint32_t first = static_cast<uint32_t>(std::countr_zero(mismatched));
+  const SyscallRequest& base = *master.request;
+  const SyscallRequest& other = *slab.slots[first].request;
   std::ostringstream detail;
-  if (slab.slots[first].request->sysno != slab.slots[0].request->sysno) {
-    detail << "thread " << tid_
-           << ": syscall number mismatch: " << slab.slots[0].request->ToString()
-           << " (variant 0) vs " << slab.slots[first].request->ToString() << " (variant "
-           << first << ")";
+  if (other.sysno != base.sysno) {
+    detail << "thread " << tid_ << ": syscall number mismatch: " << base.ToString()
+           << " (variant 0) vs " << other.ToString() << " (variant " << first << ")";
   } else {
-    detail << "thread " << tid_ << ": argument mismatch on "
-           << slab.slots[0].request->ToString() << " (variant 0) vs "
-           << slab.slots[first].request->ToString() << " (variant " << first << ")";
+    // Every compared field agreeing means only the deposited digest differs
+    // (the corrupt-digest fault site).
+    std::string field = base.FirstComparedDifference(other);
+    if (field.empty()) {
+      field = "digest";
+    }
+    detail << "thread " << tid_ << ": argument mismatch (" << field << ") on "
+           << base.ToString() << " (variant 0) vs " << other.ToString() << " (variant "
+           << first << ")";
   }
   if (std::popcount(mismatched) == 1) {
     *outlier = first;
@@ -480,7 +488,6 @@ int64_t ThreadSetMonitor::RunSyscallLoose(uint32_t variant, SyscallRequest& requ
     // claimed BEFORE it is written: CanPush proves every follower has
     // advanced past this sequence, so recycling the pooled record cannot
     // race a straggling reader.
-    request.PrimeComparableDigest();
     SpinWait waiter;
     std::optional<DeadlineGate> deadline;
     deadline.emplace(shared_->options->rendezvous_timeout);
@@ -621,7 +628,8 @@ int64_t ThreadSetMonitor::RunSyscallLoose(uint32_t variant, SyscallRequest& requ
             ") " + request.ToString());
     throw VariantKilled{};
   }
-  if (MustCompare(request) && record->digest != DepositDigest(variant, request)) {
+  if (MustCompare(request) &&
+      record->digest != DepositDigest(variant, request.ComparableDigest())) {
     reporter->ReportVariantFailure(
         variant, StatusCode::kDivergence,
         "thread " + std::to_string(tid_) + ": loose-mode argument mismatch on " +
@@ -876,8 +884,8 @@ bool ThreadSetMonitor::TryOpenSlabRound(RoundSlab& slab, uint64_t round, Syscall
 }
 
 void ThreadSetMonitor::HoldFrameForCombiner(RoundSlab& slab, uint32_t variant) {
-  // How long a foreign thread may read slots[variant].request: every
-  // member's request feeds the opener's digest compare until kRoundOpen;
+  // How long a foreign thread may read slots[variant].request: the opener
+  // compares every member's request, in_data bytes included, until kRoundOpen;
   // the MASTER's request additionally feeds the combined execution (and
   // RouteSignals / the kClone check) until kRoundMasterDone.
   const uint32_t release_phase = variant == 0 ? kRoundMasterDone : kRoundOpen;
@@ -1004,10 +1012,9 @@ int64_t ThreadSetMonitor::RunSyscallSlab(uint32_t variant, SyscallRequest& reque
     progress_[variant].gathering.store(false, std::memory_order_seq_cst);
     throw VariantKilled{};
   }
-  request.PrimeComparableDigest();
   ArrivalSlot& slot = slab.slots[variant];
   slot.request = &request;
-  slot.digest = DepositDigest(variant, request);
+  slot.digest = DepositDigest(variant, request.ScalarDigest());
   slot.sysno.store(request.sysno, std::memory_order_relaxed);
   slab.arrivals.fetch_or(self_bit, std::memory_order_acq_rel);
   progress_[variant].gathering.store(false, std::memory_order_seq_cst);

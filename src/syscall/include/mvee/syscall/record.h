@@ -6,15 +6,19 @@
 // monitor to compare the variants' behavior at the level of system calls").
 //
 // The comparable view must be layout-diversity-agnostic: raw pointers differ
-// across variants under ASLR, so buffer arguments are compared by content
-// digest + length, and in-variant addresses are compared after normalization
-// to logical (base-relative) form by the variant runtime.
+// across variants under ASLR, so buffer arguments are compared by length and
+// content, and in-variant addresses are compared after normalization to
+// logical (base-relative) form by the variant runtime. In lockstep the
+// monitor compares a scalar digest (which covers the buffer's length) and
+// then the buffer bytes themselves, in place; loose mode, whose leader has
+// moved on by the time a follower checks, compares a digest of everything.
 
 #ifndef MVEE_SYSCALL_RECORD_H_
 #define MVEE_SYSCALL_RECORD_H_
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,7 +46,7 @@ struct SyscallRequest {
   // Logical thread id of the caller, stamped by VariantEnv::Syscall.
   // Identical across variants by construction (the monitor assigns logical
   // tids at clone rendezvous), so it is redundant with — and excluded from —
-  // the comparable digest. The kernel keys per-thread-set state on it (the
+  // the comparison. The kernel keys per-thread-set state on it (the
   // counted getrandom RNG streams); direct kernel calls default to stream 0.
   uint32_t tid = 0;
 
@@ -60,7 +64,7 @@ struct SyscallRequest {
   uint64_t logical_addr = 0;
 
   // Raw in-variant address (munmap/mprotect target). Differs across variants
-  // under ASLR, so it is *excluded* from the comparable digest; the monitor
+  // under ASLR, so it is *excluded* from the comparison; the monitor
   // compares logical_addr instead.
   uint64_t local_addr = 0;
 
@@ -74,45 +78,40 @@ struct SyscallRequest {
   // out_data and the result carries no payload. Not compared.
   PayloadBuffer* payload_pool = nullptr;
 
-  // Returns the digest the monitor compares across variants: the memoized
-  // value if PrimeComparableDigest ran, a fresh computation otherwise.
-  // Excludes raw pointers; includes sysno, scalars, path, logical_addr, and a
-  // content digest of in_data.
+  // Digest of the compared scalar fields: sysno, arg0..3, path,
+  // logical_addr and in_data's size. Excludes raw pointers and the in_data
+  // bytes: the lockstep opener compares those in place (SamePayload).
+  uint64_t ScalarDigest() const {
+    uint64_t digest = MixWord(0, static_cast<uint64_t>(sysno));
+    digest = MixWord(digest, static_cast<uint64_t>(arg0));
+    digest = MixWord(digest, static_cast<uint64_t>(arg1));
+    digest = MixWord(digest, static_cast<uint64_t>(arg2));
+    digest = MixWord(digest, static_cast<uint64_t>(arg3));
+    digest = MixWord(digest, WordHashBytes(path.data(), path.size()));
+    digest = MixWord(digest, logical_addr);
+    return MixWord(digest, static_cast<uint64_t>(in_data.size()));
+  }
+
+  // The loose-mode digest: the scalar digest plus a word-wise hash of the
+  // in_data bytes.
   uint64_t ComparableDigest() const {
-    return digest_primed_ ? primed_digest_ : ComputeComparableDigest();
+    return MixWord(ScalarDigest(), WordHashBytes(in_data.data(), in_data.size()));
   }
 
-  // Memoizes the digest so one trap hashes its arguments at most once
-  // (in_data can be kilobytes). The monitor primes on rendezvous entry,
-  // after which the request's compared fields must not change — callers that
-  // mutate a request (tests, builders) simply never prime it.
-  void PrimeComparableDigest() {
-    primed_digest_ = ComputeComparableDigest();
-    digest_primed_ = true;
+  // True iff in_data holds the same bytes as `other`'s, compared in place.
+  // Sizes are compared first, so a scalar-digest collision never makes the
+  // memcmp read past the shorter buffer.
+  bool SamePayload(const SyscallRequest& other) const {
+    return in_data.size() == other.in_data.size() &&
+           (in_data.empty() ||
+            std::memcmp(in_data.data(), other.in_data.data(), in_data.size()) == 0);
   }
 
-  bool digest_primed() const { return digest_primed_; }
-
-  uint64_t ComputeComparableDigest() const {
-    FnvDigest digest;
-    digest.UpdateValue(sysno);
-    digest.UpdateValue(arg0);
-    digest.UpdateValue(arg1);
-    digest.UpdateValue(arg2);
-    digest.UpdateValue(arg3);
-    digest.Update(path.data(), path.size());
-    digest.UpdateValue(logical_addr);
-    digest.UpdateValue(static_cast<uint64_t>(in_data.size()));
-    if (!in_data.empty()) {
-      digest.Update(in_data.data(), in_data.size());
-    }
-    return digest.Finish();
-  }
-
-  // Memo for ComparableDigest (kept public so the struct stays a plain
-  // aggregate-style record; managed only through the methods above).
-  uint64_t primed_digest_ = 0;
-  bool digest_primed_ = false;
+  // Names the first compared field that differs from `other`: "sysno",
+  // "arg0".."arg3", "path", "logical_addr", "in_data size" or
+  // "in_data byte <offset>". Empty when every compared field agrees. For
+  // divergence reports only.
+  std::string FirstComparedDifference(const SyscallRequest& other) const;
 
   // Human-readable one-liner for divergence reports.
   std::string ToString() const;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <sstream>
 
 #include "mvee/syscall/record.h"
@@ -205,6 +206,33 @@ std::string SyscallRequest::ToString() const {
   }
   out << ")";
   return out.str();
+}
+
+std::string SyscallRequest::FirstComparedDifference(const SyscallRequest& other) const {
+  if (sysno != other.sysno) {
+    return "sysno";
+  }
+  const int64_t args[] = {arg0, arg1, arg2, arg3};
+  const int64_t other_args[] = {other.arg0, other.arg1, other.arg2, other.arg3};
+  for (int i = 0; i < 4; ++i) {
+    if (args[i] != other_args[i]) {
+      return "arg" + std::to_string(i);
+    }
+  }
+  if (path != other.path) {
+    return "path";
+  }
+  if (logical_addr != other.logical_addr) {
+    return "logical_addr";
+  }
+  if (in_data.size() != other.in_data.size()) {
+    return "in_data size";
+  }
+  const auto differ = std::mismatch(in_data.begin(), in_data.end(), other.in_data.begin());
+  if (differ.first != in_data.end()) {
+    return "in_data byte " + std::to_string(differ.first - in_data.begin());
+  }
+  return "";
 }
 
 }  // namespace mvee

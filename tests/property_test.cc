@@ -10,13 +10,17 @@
 //   P3  analysis exactness on generated ground truth, for any seed;
 //   P4  kernel determinism: equal seeds + equal request streams => equal
 //       results;
-//   P5  digest sensitivity: every compared field perturbs the digest, and
+//   P5  compare sensitivity: every compared field (one in_data byte
+//       included) flags a mismatch, in the lockstep comparator (scalar
+//       digest + in-place payload compare) and in loose mode's digest, and
 //       only compared fields do.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -223,7 +227,7 @@ TEST(KernelDeterminismTest, EqualSeedsEqualResults) {
   EXPECT_EQ(run_script(7), run_script(7));
 }
 
-// --- P5: digest sensitivity ---
+// --- P5: compare sensitivity ---
 
 TEST(DigestPropertyTest, EveryComparedFieldPerturbs) {
   SyscallRequest base;
@@ -285,6 +289,118 @@ TEST(DigestPropertyTest, UncomparedFieldsDoNotPerturb) {
   std::atomic<int32_t> word{2};
   x.futex_word = &word;  // Pointer operand: excluded.
   EXPECT_EQ(x.ComparableDigest(), digest);
+}
+
+// The lockstep comparator as the opener applies it to two fault-free
+// deposits: scalar digests first, then the in_data bytes in place.
+bool LockstepMismatch(const SyscallRequest& a, const SyscallRequest& b) {
+  return a.ScalarDigest() != b.ScalarDigest() || !a.SamePayload(b);
+}
+
+TEST(DigestPropertyTest, LockstepComparatorFlagsEveryComparedField) {
+  const std::vector<uint8_t> bytes = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                                      12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                                      23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33};
+  SyscallRequest base;
+  base.sysno = Sysno::kWrite;
+  base.arg0 = 3;
+  base.arg1 = 5;
+  base.arg2 = 7;
+  base.arg3 = 9;
+  base.path = "p";
+  base.logical_addr = 0x100;
+  base.in_data = bytes;
+
+  const auto expect_flagged = [&](const SyscallRequest& x, const std::string& field) {
+    EXPECT_TRUE(LockstepMismatch(base, x)) << field;
+    EXPECT_TRUE(LockstepMismatch(x, base)) << field;
+    EXPECT_EQ(base.FirstComparedDifference(x), field);
+  };
+  {
+    SyscallRequest x = base;
+    x.sysno = Sysno::kRead;
+    expect_flagged(x, "sysno");
+  }
+  for (int i = 0; i < 4; ++i) {
+    SyscallRequest x = base;
+    int64_t* args[] = {&x.arg0, &x.arg1, &x.arg2, &x.arg3};
+    *args[i] += 1;
+    expect_flagged(x, "arg" + std::to_string(i));
+  }
+  {
+    SyscallRequest x = base;
+    x.path = "q";
+    expect_flagged(x, "path");
+  }
+  {
+    SyscallRequest x = base;
+    x.logical_addr = 0x101;
+    expect_flagged(x, "logical_addr");
+  }
+  {
+    SyscallRequest x = base;
+    x.in_data = std::span<const uint8_t>(bytes).first(bytes.size() - 1);
+    expect_flagged(x, "in_data size");
+  }
+  // One flipped in_data byte, at every offset: the scalar digest agrees, the
+  // in-place compare does not.
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[at] ^= 0x80;
+    SyscallRequest x = base;
+    x.in_data = flipped;
+    EXPECT_EQ(x.ScalarDigest(), base.ScalarDigest()) << at;
+    expect_flagged(x, "in_data byte " + std::to_string(at));
+  }
+}
+
+TEST(DigestPropertyTest, LockstepComparatorIgnoresUncomparedFields) {
+  const std::vector<uint8_t> bytes(40, 0x33);
+  const std::vector<uint8_t> same_bytes(40, 0x33);  // Equal content, other buffer.
+  std::vector<uint8_t> out_a(16, 0xAA);
+  std::vector<uint8_t> out_b(16, 0xBB);
+  SyscallRequest base;
+  base.sysno = Sysno::kFutex;
+  base.arg0 = FutexOp::kWait;
+  base.arg1 = 2;
+  base.in_data = bytes;
+  base.out_data = out_a;
+
+  SyscallRequest x = base;
+  x.local_addr = 0xdeadbeef;  // Raw per-variant address: excluded.
+  std::atomic<int32_t> word{2};
+  x.futex_word = &word;  // Pointer operand: excluded.
+  x.tid = 7;             // Identical across variants by construction: excluded.
+  x.out_data = out_b;    // Written by the kernel, not the variant.
+  x.in_data = same_bytes;
+  EXPECT_FALSE(LockstepMismatch(base, x));
+  EXPECT_EQ(base.FirstComparedDifference(x), "");
+}
+
+// Loose mode's word-wise digest: equal bytes in distinct buffers digest
+// equally at every length (every lane/tail split), and one flipped byte at
+// any offset changes the digest.
+TEST(DigestPropertyTest, LooseDigestIsContentDeterminedAndByteSensitive) {
+  for (size_t size = 0; size <= 72; ++size) {
+    std::vector<uint8_t> a(size);
+    for (size_t i = 0; i < size; ++i) {
+      a[i] = static_cast<uint8_t>(i * 13 + size);
+    }
+    const std::vector<uint8_t> b = a;
+    SyscallRequest ra;
+    ra.sysno = Sysno::kSend;
+    ra.in_data = a;
+    SyscallRequest rb = ra;
+    rb.in_data = b;
+    const uint64_t digest = ra.ComparableDigest();
+    EXPECT_EQ(rb.ComparableDigest(), digest) << size;
+    for (size_t at = 0; at < size; ++at) {
+      std::vector<uint8_t> flipped = a;
+      flipped[at] ^= 0x01;
+      rb.in_data = flipped;
+      EXPECT_NE(rb.ComparableDigest(), digest) << size << "@" << at;
+    }
+  }
 }
 
 TEST(DigestPropertyTest, OutBufferContentIrrelevantSizeCompared) {

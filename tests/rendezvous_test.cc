@@ -1,12 +1,13 @@
 // Wait-free rendezvous tests: the round-slab protocol under many thread sets
 // and variant counts, failure paths under the slab
 // (timeouts with parked waiters, digest divergence), deterministic signal
-// latching, the memoized argument digest, and — via a binary-wide operator
+// latching, the in-place payload compare, and — via a binary-wide operator
 // new override — the zero-allocation guarantee on the replicated hot path
 // (pooled payload arena + pooled loose records).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -333,29 +334,98 @@ TEST(RendezvousFailureTest, ParkedSlaveSeesLateMasterResult) {
   EXPECT_EQ(agreed.load(), 3);
 }
 
-// --- Memoized argument digest ---------------------------------------------------
+// --- Lockstep payload compare ------------------------------------------------
 
-TEST(ComparableDigestMemoTest, UnprimedRecomputesPrimedFreezes) {
-  SyscallRequest request;
-  request.sysno = Sysno::kWrite;
-  request.arg0 = 3;
-  const std::vector<uint8_t> bytes(64, 0xee);
-  request.in_data = bytes;
+// Writes a 4096-byte body and then a short trailer. With `corrupt_last_byte`
+// set, variant 2's body differs from the others' in its last byte only.
+Program PayloadProgram(bool corrupt_last_byte) {
+  return [corrupt_last_byte](VariantEnv& env) {
+    const int64_t which = env.MveeSelfAware();
+    std::vector<uint8_t> body(4096);
+    for (size_t i = 0; i < body.size(); ++i) {
+      body[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+    if (corrupt_last_byte && which == 2) {
+      body.back() ^= 0x01;
+    }
+    const int64_t fd = env.Open("body", VOpenFlags::kCreate | VOpenFlags::kWrite);
+    env.Write(fd, body);
+    env.Write(fd, std::string("done\n"));
+    env.Close(fd);
+  };
+}
 
-  // Unprimed: every call reflects the current fields.
-  const uint64_t digest = request.ComparableDigest();
-  request.arg0 = 4;
-  EXPECT_NE(request.ComparableDigest(), digest);
-  request.arg0 = 3;
-  EXPECT_EQ(request.ComparableDigest(), digest);
+// The opener compares in_data bytes in place: a difference in the very last
+// byte of a 4 KiB payload is a single-outlier divergence, excised at round
+// open, and the report names the byte.
+TEST(LockstepPayloadCompareTest, LastByteOutlierIsExcisedAndNamed) {
+  MveeOptions options = Opts(3);
+  options.on_variant_failure = VariantFailurePolicy::kExcise;
+  options.min_survivors = 2;
+  std::string reference;
+  {
+    Mvee mvee(options);
+    const Status status = mvee.Run(PayloadProgram(/*corrupt_last_byte=*/false));
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_TRUE(mvee.report().excised_variants.empty());
+    reference = FileText(mvee.kernel(), "body");
+    ASSERT_EQ(reference.size(), 4096u + 5u);
+  }
+  Mvee mvee(options);
+  const Status status = mvee.Run(PayloadProgram(/*corrupt_last_byte=*/true));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(FileText(mvee.kernel(), "body"), reference);
+  const auto& excised = mvee.report().excised_variants;
+  ASSERT_EQ(excised.size(), 1u);
+  EXPECT_EQ(excised[0].variant, 2u);
+  EXPECT_EQ(excised[0].code, StatusCode::kDivergence);
+  EXPECT_NE(excised[0].detail.find("argument mismatch (in_data byte 4095)"),
+            std::string::npos)
+      << excised[0].detail;
+}
 
-  // Primed (what the monitor does on rendezvous entry): the trap hashes its
-  // arguments exactly once — later reads return the memo without rehashing.
-  request.PrimeComparableDigest();
-  EXPECT_TRUE(request.digest_primed());
-  EXPECT_EQ(request.ComparableDigest(), digest);
-  request.arg0 = 99;  // Would change a fresh hash; the memo must not move.
-  EXPECT_EQ(request.ComparableDigest(), digest);
+// Equal scalars, payload sizes that differ while sharing a prefix: a
+// divergence, and the report names the size. Under ASan this also shows
+// that no buffer is read past its end.
+TEST(LockstepPayloadCompareTest, PayloadSizeMismatchDiverges) {
+  Mvee mvee(Opts(2));
+  const Status status = mvee.Run([](VariantEnv& env) {
+    const int64_t which = env.MveeSelfAware();
+    const std::vector<uint8_t> body(which == 0 ? 64 : 65, 0x5a);
+    const int64_t fd = env.Open("sized", VOpenFlags::kCreate | VOpenFlags::kWrite);
+    SyscallRequest request;
+    request.sysno = Sysno::kWrite;
+    request.arg0 = fd;
+    request.arg1 = 64;  // The scalars agree; only in_data's size does not.
+    request.in_data = body;
+    env.Syscall(request);
+    env.Close(fd);
+  });
+  EXPECT_EQ(status.code(), StatusCode::kDivergence);
+  const std::string& detail = mvee.report().divergence_detail;
+  EXPECT_NE(detail.find("argument mismatch (in_data size)"), std::string::npos) << detail;
+}
+
+// The size check comes before the memcmp, whatever the digests say: two
+// exactly-sized heap buffers with a shared prefix compare unequal in either
+// order without reading past the shorter one (ASan would flag the read).
+TEST(LockstepPayloadCompareTest, SizeIsCheckedBeforeBytes) {
+  auto shorter = std::make_unique<uint8_t[]>(64);
+  auto longer = std::make_unique<uint8_t[]>(65);
+  std::fill_n(shorter.get(), 64, 0x5a);
+  std::fill_n(longer.get(), 65, 0x5a);
+  SyscallRequest a;
+  a.sysno = Sysno::kSend;
+  a.arg0 = 5;
+  a.in_data = std::span<const uint8_t>(shorter.get(), 64);
+  SyscallRequest b = a;
+  b.in_data = std::span<const uint8_t>(longer.get(), 65);
+  EXPECT_FALSE(a.SamePayload(b));
+  EXPECT_FALSE(b.SamePayload(a));
+  EXPECT_EQ(a.FirstComparedDifference(b), "in_data size");
+  b.in_data = std::span<const uint8_t>(longer.get(), 64);
+  EXPECT_TRUE(a.SamePayload(b));
+  EXPECT_EQ(a.FirstComparedDifference(b), "");
 }
 
 // --- Zero allocations on the hot path --------------------------------------------

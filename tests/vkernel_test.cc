@@ -447,7 +447,8 @@ TEST_F(VirtualKernelTest, PipePacksTwoFds) {
   SyscallRequest write;
   write.sysno = Sysno::kWrite;
   write.arg0 = wfd;
-  write.in_data = Bytes("xy");
+  const std::string payload = "xy";  // Outlives the span, unlike a temporary.
+  write.in_data = Bytes(payload);
   EXPECT_EQ(Call(write), 2);
 
   SyscallRequest read;
@@ -582,11 +583,13 @@ TEST_F(VirtualKernelTest, ComparableDigestCoversPayload) {
   SyscallRequest a;
   a.sysno = Sysno::kWrite;
   a.arg0 = 1;
-  a.in_data = Bytes("hello");
+  const std::string hello = "hello";
+  const std::string hello_upper_o = "hellO";
+  a.in_data = Bytes(hello);
   SyscallRequest b;
   b.sysno = Sysno::kWrite;
   b.arg0 = 1;
-  b.in_data = Bytes("hellO");
+  b.in_data = Bytes(hello_upper_o);
   EXPECT_NE(a.ComparableDigest(), b.ComparableDigest());
 }
 
@@ -652,7 +655,8 @@ TEST_F(WaitQueueKernelTest, PipeWriteWakesParkedPoll) {
   SyscallRequest write;
   write.sysno = Sysno::kWrite;
   write.arg0 = wfd;
-  write.in_data = Bytes("!");
+  const std::string payload = "!";
+  write.in_data = Bytes(payload);
   EXPECT_EQ(kernel_.Execute(process_, write).retval, 1);
   poller.join();
   EXPECT_EQ(poll_result.load(), 1);
