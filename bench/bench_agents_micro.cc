@@ -19,10 +19,8 @@ namespace {
 
 // --- Agent record path (master side, single thread, no consumers) ---
 
-// `bound` binds the variable first, so an adaptive fleet (the default) routes
-// its ops through the map's migration gate; unbound ops take the ungated
-// default route. Under MVEE_ADAPTIVE_AGENTS=0 binding is a no-op and both
-// cases measure the single-agent fleet.
+// `bound` binds the variable first, so the fleet routes its ops through the
+// map's migration gate; unbound ops take the ungated default route.
 void AgentRecordLoop(benchmark::State& state, AgentKind kind, bool bound) {
   AgentConfig config;
   config.num_variants = 1;  // Recording only.

@@ -1,34 +1,26 @@
-// Protected-server throughput + latency percentiles: readiness-driven event
-// loop vs the seed's one-at-a-time dispatcher (docs/DESIGN.md §10), measured
-// open-loop so the percentiles are free of coordinated omission.
+// Protected-server throughput + latency percentiles for the readiness-driven
+// event loop (docs/DESIGN.md §10), measured open-loop so the percentiles are
+// free of coordinated omission.
 //
 // Cells (each one full server run + open-loop load):
 //   - native event-loop            (no MVEE: the bare-metal context)
-//   - MVEE event-loop              (gate numerator,   default 2 variants)
-//   - MVEE seed dispatcher         (gate denominator, default 2 variants)
+//   - MVEE event-loop, 2 variants
 //   - MVEE event-loop, 3 variants  (breadth: scaling one variant up)
 //
-// Both MVEE serving modes see the same offered *request* rate: the event
-// loop amortizes it over keep-alive connections carrying RPC requests each,
-// the seed dispatcher pays one connection per request — which is exactly the
-// architectural difference under test. Latency is measured from each
-// request's intended send time, so accept-backlog queueing counts against
-// the server. Results go to BENCH_server.json.
+// Load is `conns` keep-alive connections carrying RPC requests each. Latency
+// is measured from each request's intended send time, so accept-backlog
+// queueing counts against the server. Results go to BENCH_server.json. The
+// bench exits nonzero when a cell does not serve its full load.
 //
 // Knobs:
-//   MVEE_BENCH_SERVER_CONNS        event-loop connections        (default 1000)
+//   MVEE_BENCH_SERVER_CONNS        connections                   (default 1000)
 //   MVEE_BENCH_SERVER_RPC          requests per connection       (default 2)
 //   MVEE_BENCH_SERVER_RATE         connection arrivals/s         (default 20000)
-//   MVEE_BENCH_SERVER_THREADS     server pool threads           (default 8)
-//   MVEE_BENCH_SERVER_MIN_SPEEDUP  exit nonzero when event-loop rps /
-//                                  seed rps falls below this     (default 0 = off)
-//   MVEE_BENCH_SERVER_MAX_P99X     exit nonzero when event-loop p99 exceeds
-//                                  seed p99 * this               (default 0 = off)
+//   MVEE_BENCH_SERVER_THREADS      server pool threads           (default 8)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,13 +51,11 @@ struct CellResult {
   double p999_us = 0.0;
 };
 
-ServerConfig CellServerConfig(uint16_t port, uint32_t pool_threads, bool event_loop,
-                              uint32_t budget) {
+ServerConfig CellServerConfig(uint16_t port, uint32_t pool_threads, uint32_t budget) {
   ServerConfig config;
   config.port = port;
   config.pool_threads = pool_threads;
   config.page_bytes = 4096;  // §5.5 serves a 4 KiB static page.
-  config.use_event_loop = event_loop;
   config.connection_budget = budget;
   return config;
 }
@@ -111,8 +101,7 @@ CellResult Summarize(const std::string& mode, uint32_t variants,
 
 CellResult RunNativeCell(uint16_t port, uint32_t pool_threads, const OpenLoopOptions& load) {
   NativeRunner runner;
-  ServerConfig config =
-      CellServerConfig(port, pool_threads, /*event_loop=*/true, load.connections + 1);
+  ServerConfig config = CellServerConfig(port, pool_threads, load.connections + 1);
   bool ok = false;
   const OpenLoopResult run = DriveOpenLoop(runner.kernel(), load, [&] {
     ok = runner.Run(MakeServerProgram(config)).ok();
@@ -121,7 +110,7 @@ CellResult RunNativeCell(uint16_t port, uint32_t pool_threads, const OpenLoopOpt
 }
 
 CellResult RunMveeCell(const std::string& mode, uint16_t port, uint32_t variants,
-                       uint32_t pool_threads, bool event_loop, const OpenLoopOptions& load) {
+                       uint32_t pool_threads, const OpenLoopOptions& load) {
   MveeOptions options;
   options.num_variants = variants;
   options.agent = AgentKind::kWallOfClocks;
@@ -131,8 +120,7 @@ CellResult RunMveeCell(const std::string& mode, uint16_t port, uint32_t variants
   options.blocked_call_timeout = std::chrono::milliseconds(60000);
   Mvee mvee(options);
 
-  ServerConfig config =
-      CellServerConfig(port, pool_threads, event_loop, load.connections + 1);
+  ServerConfig config = CellServerConfig(port, pool_threads, load.connections + 1);
   bool ok = false;
   const OpenLoopResult run = DriveOpenLoop(mvee.kernel(), load, [&] {
     ok = mvee.Run(MakeServerProgram(config)).ok();
@@ -140,8 +128,7 @@ CellResult RunMveeCell(const std::string& mode, uint16_t port, uint32_t variants
   return Summarize(mode, variants, load, run, ok);
 }
 
-void WriteServerJson(const std::vector<CellResult>& cells, double speedup,
-                     double p99_ratio) {
+void WriteServerJson(const std::vector<CellResult>& cells) {
   const std::string path = bench::ResolveBenchJsonPath("BENCH_server.json");
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
@@ -165,10 +152,7 @@ void WriteServerJson(const std::vector<CellResult>& cells, double speedup,
         static_cast<unsigned long long>(cell.connect_retries), cell.seconds, cell.rps,
         cell.p50_us, cell.p99_us, cell.p999_us, i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(file,
-               "  ],\n  \"speedup_event_vs_seed\": %.2f,\n"
-               "  \"p99_ratio_event_vs_seed\": %.2f\n}\n",
-               speedup, p99_ratio);
+  std::fprintf(file, "  ]\n}\n");
   std::fclose(file);
   std::printf("wrote %s (%zu cells)\n", path.c_str(), cells.size());
 }
@@ -189,74 +173,45 @@ int main() {
 
   const auto conns = static_cast<uint32_t>(EnvInt("MVEE_BENCH_SERVER_CONNS", 1000));
   const auto rpc = static_cast<uint32_t>(EnvInt("MVEE_BENCH_SERVER_RPC", 2));
-  // Default offered rate deliberately saturates both serving modes so the
-  // gate compares capacity, not the load generator's schedule.
   const double rate = static_cast<double>(EnvInt("MVEE_BENCH_SERVER_RATE", 20000));
   const auto pool = static_cast<uint32_t>(EnvInt("MVEE_BENCH_SERVER_THREADS", 8));
   const uint64_t total_requests = static_cast<uint64_t>(conns) * rpc;
 
-  PrintHeader("Protected server under open-loop load: event loop vs seed dispatcher (" +
-              std::to_string(pool) + " pool threads, " + std::to_string(total_requests) +
-              " requests/cell)");
+  PrintHeader("Protected server under open-loop load: event loop (" + std::to_string(pool) +
+              " pool threads, " + std::to_string(total_requests) + " requests/cell)");
 
-  // Event-loop load shape: `conns` keep-alive connections x `rpc` requests.
-  OpenLoopOptions event_load;
-  event_load.connections = conns;
-  event_load.requests_per_conn = rpc;
-  event_load.pipeline_depth = 2;
-  event_load.arrival_rate = rate;
-  event_load.client_threads = 4;
-
-  // Seed dispatcher serves exactly one HTTP/1.0 request per connection, so
-  // the same request volume arrives as `conns * rpc` single-request
-  // connections at the same offered request rate.
-  OpenLoopOptions seed_load;
-  seed_load.connections = conns * rpc;
-  seed_load.requests_per_conn = 1;
-  seed_load.pipeline_depth = 1;
-  seed_load.arrival_rate = rate * rpc;
-  seed_load.client_threads = 4;
+  // `conns` keep-alive connections x `rpc` requests.
+  OpenLoopOptions base_load;
+  base_load.connections = conns;
+  base_load.requests_per_conn = rpc;
+  base_load.pipeline_depth = 2;
+  base_load.arrival_rate = rate;
+  base_load.client_threads = 4;
 
   std::vector<CellResult> cells;
 
   {
-    OpenLoopOptions load = event_load;
+    OpenLoopOptions load = base_load;
     load.port = 9100;
     cells.push_back(RunNativeCell(load.port, pool, load));
     PrintCell(cells.back());
   }
   {
-    OpenLoopOptions load = event_load;
+    OpenLoopOptions load = base_load;
     load.port = 9101;
-    cells.push_back(RunMveeCell("mvee-event-loop", load.port, 2, pool,
-                                /*event_loop=*/true, load));
-    PrintCell(cells.back());
-  }
-  {
-    OpenLoopOptions load = seed_load;
-    load.port = 9102;
-    cells.push_back(RunMveeCell("mvee-seed-dispatcher", load.port, 2, pool,
-                                /*event_loop=*/false, load));
+    cells.push_back(RunMveeCell("mvee-event-loop", load.port, 2, pool, load));
     PrintCell(cells.back());
   }
   {
     // Breadth cell: one variant more, a quarter of the volume.
-    OpenLoopOptions load = event_load;
+    OpenLoopOptions load = base_load;
     load.port = 9103;
     load.connections = std::max(100u, conns / 4);
-    cells.push_back(RunMveeCell("mvee-event-loop", load.port, 3, pool,
-                                /*event_loop=*/true, load));
+    cells.push_back(RunMveeCell("mvee-event-loop", load.port, 3, pool, load));
     PrintCell(cells.back());
   }
 
-  const CellResult& event_cell = cells[1];
-  const CellResult& seed_cell = cells[2];
-  const double speedup = seed_cell.rps > 0 ? event_cell.rps / seed_cell.rps : 0.0;
-  const double p99_ratio =
-      seed_cell.p99_us > 0 ? event_cell.p99_us / seed_cell.p99_us : 0.0;
-  std::printf("\n  event-loop vs seed-dispatcher: %.2fx throughput, p99 ratio %.2f\n",
-              speedup, p99_ratio);
-  WriteServerJson(cells, speedup, p99_ratio);
+  WriteServerJson(cells);
 
   bool failed = false;
   for (const CellResult& cell : cells) {
@@ -266,22 +221,6 @@ int main() {
                    cell.mode.c_str(), cell.variants);
       failed = true;
     }
-  }
-  const double min_speedup = std::getenv("MVEE_BENCH_SERVER_MIN_SPEEDUP")
-                                 ? std::atof(std::getenv("MVEE_BENCH_SERVER_MIN_SPEEDUP"))
-                                 : 0.0;
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: event-loop speedup %.2fx below required %.2fx\n", speedup,
-                 min_speedup);
-    failed = true;
-  }
-  const double max_p99x = std::getenv("MVEE_BENCH_SERVER_MAX_P99X")
-                              ? std::atof(std::getenv("MVEE_BENCH_SERVER_MAX_P99X"))
-                              : 0.0;
-  if (max_p99x > 0 && p99_ratio > max_p99x) {
-    std::fprintf(stderr, "FAIL: event-loop p99 is %.2fx the seed dispatcher's (max %.2f)\n",
-                 p99_ratio, max_p99x);
-    failed = true;
   }
   return failed ? 1 : 0;
 }

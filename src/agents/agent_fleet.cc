@@ -19,15 +19,15 @@ class NullAgentShim final : public SyncAgent {
 
 }  // namespace
 
-// The adaptive per-variant handle. An op on an unbound address (Find misses)
-// rides the default route, which is migration-frozen: it goes straight to the
-// fleet kind's runtime agent, with no gate, no scratch write and no check of
-// its own (the runtime agent makes its own abort and tid checks). A bound op
-// resolves its route entry, passes the master/slave migration gate, and
-// forwards to the routed runtime's own agent for this variant. A kNull route
-// skips the forward entirely — the honest win for statically-proven
-// thread-local variables — but still runs the gates, so the per-thread op
-// counters stay exact for the controller.
+// The per-variant handle of every non-kNull fleet. An op on an unbound
+// address (Find misses) rides the default route, which is migration-frozen:
+// it goes straight to the fleet kind's runtime agent, with no gate, no
+// scratch write and no check of its own (the runtime agent makes its own
+// abort and tid checks). A bound op resolves its route entry, passes the
+// master/slave migration gate, and forwards to the routed runtime's own agent
+// for this variant. A kNull route skips the forward entirely — the honest win
+// for statically-proven thread-local variables — but still runs the gates,
+// so the per-thread op counters stay exact for the controller.
 //
 // Before and After agree on the path by re-running Find: bindings are
 // append-only and made before the variable's first sync op (the BindVariable
@@ -44,7 +44,7 @@ class DispatchAgent final : public SyncAgent {
         default_agent_(fleet->SubAgent(variant, fleet->kind_)),
         pending_(fleet->config_.max_threads) {}
 
-  // Nothing bound anywhere (the common single-agent-equivalent case): one
+  // Nothing bound anywhere (the common case for an unplanned program): one
   // load and a tail call, without even the probe.
   void BeforeSyncOp(uint32_t tid, const void* addr) override {
     if (map_->EntryCount() != 0) {
@@ -141,44 +141,27 @@ class DispatchAgent final : public SyncAgent {
 AgentFleet::AgentFleet(AgentKind kind, const AgentConfig& config, AgentControl control,
                        const AgentAssignmentPlan* plan)
     : kind_(kind), config_(ValidatedAgentConfig(config)), control_(std::move(control)) {
-  const bool adaptive = config_.adaptive_agents && kind_ != AgentKind::kNull;
-  if (adaptive) {
-    // All four runtimes stay alive so any route is instantly serviceable;
-    // the lazy recording rings (record_shards.h) keep the idle ones nearly
-    // free. Per-variable stats remain per-runtime and are summed on read.
-    total_order_ = std::make_unique<TotalOrderRuntime>(config_, control_);
-    partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
-    wall_of_clocks_ = std::make_unique<WallOfClocksRuntime>(config_, control_);
-    per_variable_ = std::make_unique<PerVariableRuntime>(config_, control_);
-    map_ = std::make_unique<VariableAgentMap>(config_, control_);
-    sub_agents_.resize(config_.num_variants);
-    if (plan != nullptr) {
-      for (const AgentAssignment& assignment : plan->assignments) {
-        // Registration can fail closed past kMaxEntries; the variable then
-        // simply rides the default route.
-        map_->EntryFor(assignment.name, assignment.kind);
-      }
-    }
-    if (config_.migrate_interval_ms > 0 && config_.num_variants > 1) {
-      controller_ = std::thread([this] { ControllerLoop(); });
-    }
-    return;
+  if (kind_ == AgentKind::kNull) {
+    return;  // Every variant gets the NullAgentShim; no runtime, no map.
   }
-  switch (kind_) {
-    case AgentKind::kNull:
-      break;
-    case AgentKind::kTotalOrder:
-      total_order_ = std::make_unique<TotalOrderRuntime>(config_, control_);
-      break;
-    case AgentKind::kPartialOrder:
-      partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
-      break;
-    case AgentKind::kWallOfClocks:
-      wall_of_clocks_ = std::make_unique<WallOfClocksRuntime>(config_, control_);
-      break;
-    case AgentKind::kPerVariableOrder:
-      per_variable_ = std::make_unique<PerVariableRuntime>(config_, control_);
-      break;
+  // All four runtimes stay alive so any route is instantly serviceable;
+  // the lazy recording rings (record_shards.h) keep the idle ones nearly
+  // free. Per-variable stats remain per-runtime and are summed on read.
+  total_order_ = std::make_unique<TotalOrderRuntime>(config_, control_);
+  partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
+  wall_of_clocks_ = std::make_unique<WallOfClocksRuntime>(config_, control_);
+  per_variable_ = std::make_unique<PerVariableRuntime>(config_, control_);
+  map_ = std::make_unique<VariableAgentMap>(config_, control_);
+  sub_agents_.resize(config_.num_variants);
+  if (plan != nullptr) {
+    for (const AgentAssignment& assignment : plan->assignments) {
+      // Registration can fail closed past kMaxEntries; the variable then
+      // simply rides the default route.
+      map_->EntryFor(assignment.name, assignment.kind);
+    }
+  }
+  if (config_.migrate_interval_ms > 0 && config_.num_variants > 1) {
+    controller_ = std::thread([this] { ControllerLoop(); });
   }
 }
 
@@ -190,33 +173,20 @@ AgentFleet::~AgentFleet() {
 }
 
 std::unique_ptr<SyncAgent> AgentFleet::CreateAgent(uint32_t variant_index) {
-  if (map_ != nullptr) {
-    // Bootstrap (one call per variant, from the monitor): materialize this
-    // variant's handle in every runtime so the dispatch hot path is a plain
-    // array index.
-    auto& subs = sub_agents_[variant_index];
-    subs[static_cast<size_t>(AgentKind::kTotalOrder)] = total_order_->CreateAgent(variant_index);
-    subs[static_cast<size_t>(AgentKind::kPartialOrder)] =
-        partial_order_->CreateAgent(variant_index);
-    subs[static_cast<size_t>(AgentKind::kWallOfClocks)] =
-        wall_of_clocks_->CreateAgent(variant_index);
-    subs[static_cast<size_t>(AgentKind::kPerVariableOrder)] =
-        per_variable_->CreateAgent(variant_index);
-    return std::make_unique<DispatchAgent>(this, variant_index);
+  if (map_ == nullptr) {
+    return std::make_unique<NullAgentShim>();
   }
-  switch (kind_) {
-    case AgentKind::kNull:
-      return std::make_unique<NullAgentShim>();
-    case AgentKind::kTotalOrder:
-      return total_order_->CreateAgent(variant_index);
-    case AgentKind::kPartialOrder:
-      return partial_order_->CreateAgent(variant_index);
-    case AgentKind::kWallOfClocks:
-      return wall_of_clocks_->CreateAgent(variant_index);
-    case AgentKind::kPerVariableOrder:
-      return per_variable_->CreateAgent(variant_index);
-  }
-  return nullptr;
+  // Bootstrap (one call per variant, from the monitor): materialize this
+  // variant's handle in every runtime so the dispatch hot path is a plain
+  // array index.
+  auto& subs = sub_agents_[variant_index];
+  subs[static_cast<size_t>(AgentKind::kTotalOrder)] = total_order_->CreateAgent(variant_index);
+  subs[static_cast<size_t>(AgentKind::kPartialOrder)] = partial_order_->CreateAgent(variant_index);
+  subs[static_cast<size_t>(AgentKind::kWallOfClocks)] =
+      wall_of_clocks_->CreateAgent(variant_index);
+  subs[static_cast<size_t>(AgentKind::kPerVariableOrder)] =
+      per_variable_->CreateAgent(variant_index);
+  return std::make_unique<DispatchAgent>(this, variant_index);
 }
 
 SyncAgent* AgentFleet::SubAgent(uint32_t variant, AgentKind kind) const {
@@ -224,11 +194,14 @@ SyncAgent* AgentFleet::SubAgent(uint32_t variant, AgentKind kind) const {
 }
 
 void AgentFleet::DetachVariant(uint32_t variant) {
-  if (total_order_) total_order_->DetachVariant(variant);
-  if (partial_order_) partial_order_->DetachVariant(variant);
-  if (wall_of_clocks_) wall_of_clocks_->DetachVariant(variant);
-  if (per_variable_) per_variable_->DetachVariant(variant);
-  if (map_) map_->DetachVariant(variant);
+  if (map_ == nullptr) {
+    return;
+  }
+  total_order_->DetachVariant(variant);
+  partial_order_->DetachVariant(variant);
+  wall_of_clocks_->DetachVariant(variant);
+  per_variable_->DetachVariant(variant);
+  map_->DetachVariant(variant);
 }
 
 AgentStatsSnapshot AgentFleet::StatsSnapshot() const {
@@ -241,10 +214,12 @@ AgentStatsSnapshot AgentFleet::StatsSnapshot() const {
     total.replay_stalls += part.replay_stalls;
     total.record_lock_spins += part.record_lock_spins;
   };
-  if (total_order_) add(total_order_->stats());
-  if (partial_order_) add(partial_order_->stats());
-  if (wall_of_clocks_) add(wall_of_clocks_->stats());
-  if (per_variable_) add(per_variable_->stats());
+  if (map_ != nullptr) {
+    add(total_order_->stats());
+    add(partial_order_->stats());
+    add(wall_of_clocks_->stats());
+    add(per_variable_->stats());
+  }
   return total;
 }
 
@@ -288,12 +263,11 @@ uint64_t AgentFleet::MigrationsAborted() const {
 uint64_t AgentFleet::BoundVariables() const { return map_ ? map_->EntryCount() : 0; }
 
 uint64_t AgentFleet::RecordingRingsCreated() const {
-  uint64_t total = 0;
-  if (total_order_) total += total_order_->RecordingRingsCreated();
-  if (partial_order_) total += partial_order_->RecordingRingsCreated();
-  if (wall_of_clocks_) total += wall_of_clocks_->RecordingRingsCreated();
-  if (per_variable_) total += per_variable_->RecordingRingsCreated();
-  return total;
+  if (map_ == nullptr) {
+    return 0;
+  }
+  return total_order_->RecordingRingsCreated() + partial_order_->RecordingRingsCreated() +
+         wall_of_clocks_->RecordingRingsCreated() + per_variable_->RecordingRingsCreated();
 }
 
 void AgentFleet::ControllerLoop() {

@@ -4,10 +4,9 @@
 // §4.5, collapses here to wiring the agent into the variant's thread-local
 // sync context).
 //
-// Two shapes (AgentConfig::adaptive_agents, docs/DESIGN.md §11):
-//  - Single-agent (adaptive_agents=false, or kind=kNull): one runtime of
-//    `kind`, exactly the seed behavior. The MVEE_ADAPTIVE_AGENTS=0 baseline.
-//  - Adaptive (default): all four runtimes are alive at once (lazy recording
+// Two shapes (docs/DESIGN.md §11):
+//  - kNull: no runtime; every variant gets a no-op agent.
+//  - Every other kind: all four runtimes are alive at once (lazy recording
 //    rings keep that affordable) and every variant gets a dispatch agent
 //    that routes each sync op through the VariableAgentMap to the runtime
 //    its variable is assigned to. Routes are seeded from an
@@ -17,7 +16,7 @@
 //    variables ride the default route (= `kind`), which is migration-frozen:
 //    their ops go straight to that runtime's agent with no gate, so a
 //    program that binds nothing pays one dispatch call and one load per op
-//    over the single-agent fleet.
+//    over calling `kind`'s runtime directly.
 
 #ifndef MVEE_AGENTS_AGENT_FLEET_H_
 #define MVEE_AGENTS_AGENT_FLEET_H_
@@ -40,8 +39,8 @@ namespace mvee {
 
 class AgentFleet {
  public:
-  // `plan` (optional) seeds per-variable routes when adaptive; ignored (with
-  // a nullptr default) for the single-agent shape. The plan is copied.
+  // `plan` (optional) seeds per-variable routes; ignored for kNull. The plan
+  // is copied.
   AgentFleet(AgentKind kind, const AgentConfig& config, AgentControl control,
              const AgentAssignmentPlan* plan = nullptr);
   ~AgentFleet();
@@ -65,7 +64,7 @@ class AgentFleet {
   // (zeros for kNull).
   AgentStatsSnapshot StatsSnapshot() const;
 
-  // ---- Adaptive API (inert when !adaptive()) ----
+  // ---- Routing API (inert for kNull, where !adaptive()) ----
 
   // Current route of `name`; the fleet's kind for "" (the default route
   // shared by all unbound variables) or names that were never registered.
@@ -73,7 +72,7 @@ class AgentFleet {
 
   // Moves `name`'s route to `to` through the epoch handshake. Returns true
   // iff the flip completed (false: "" or an unknown name, already there, a
-  // kNull endpoint, timeout-abort, or non-adaptive fleet). "" names the
+  // kNull endpoint, timeout-abort, or a kNull fleet). "" names the
   // default route, which is migration-frozen.
   bool ForceMigrate(const std::string& name, AgentKind to);
 
@@ -103,7 +102,7 @@ class AgentFleet {
   std::unique_ptr<PartialOrderRuntime> partial_order_;
   std::unique_ptr<WallOfClocksRuntime> wall_of_clocks_;
   std::unique_ptr<PerVariableRuntime> per_variable_;
-  // Adaptive state (null/empty for the single-agent shape).
+  // Routing state (null/empty for kNull).
   std::unique_ptr<VariableAgentMap> map_;
   // sub_agents_[variant][kind]: the per-variant handle of each runtime the
   // dispatch agent can route to (kNull slot stays empty — a kNull route

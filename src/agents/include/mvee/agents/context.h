@@ -48,8 +48,8 @@ struct SyncContext {
 // Registers `addr` as the sync variable `name` with the current thread's
 // agent (adaptive routing, docs/DESIGN.md §11). Call once per variant —
 // i.e., from code every variant executes, before the variable's first sync
-// op, the paper's registration-at-allocation idiom. A no-op under
-// non-adaptive agents and native runs.
+// op, the paper's registration-at-allocation idiom. A no-op under the kNull
+// agent and in native runs.
 inline void BindSyncVariable(const char* name, const void* addr) {
   SyncContext::Current()->agent->BindVariable(name, addr);
 }

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -52,15 +51,6 @@ struct AgentStatsSnapshot {
   uint64_t record_lock_spins = 0; // TO/PO master spun on a record shard lock
 };
 
-// Default for AgentConfig::adaptive_agents: on, unless the environment forces
-// the single-agent baseline (MVEE_ADAPTIVE_AGENTS=0). The override lets whole
-// test suites run either mode without edits; explicit assignments in code
-// always win.
-inline bool DefaultAdaptiveAgents() {
-  const char* env = std::getenv("MVEE_ADAPTIVE_AGENTS");
-  return env == nullptr || env[0] != '0';
-}
-
 // Shared configuration for agent runtimes.
 struct AgentConfig {
   uint32_t max_threads = 64;           // Max logical threads per variant.
@@ -78,17 +68,15 @@ struct AgentConfig {
   // config is unchanged). Rounded up to a power of two, clamped to
   // [64, 65536]. Exposed for the shard-collision ablation.
   size_t record_shard_count = 0;
-  // Contention-adaptive per-variable dispatch (docs/DESIGN.md §11): the
-  // fleet instantiates every agent runtime, routes each *registered* sync
-  // variable (SyncAgent::BindVariable) to its assigned runtime through the
+  // Contention-adaptive per-variable dispatch (docs/DESIGN.md §11) is the
+  // only fleet shape for every kind but kNull: the fleet instantiates every
+  // agent runtime, routes each *registered* sync variable
+  // (SyncAgent::BindVariable) to its assigned runtime through the
   // VariableAgentMap, and migrates routes at runtime quiesce points.
   // Unregistered variables ride the default route (the fleet's configured
-  // AgentKind), which is migration-frozen and ungated: a program that never
-  // binds anything records and replays exactly like the single-agent
-  // baseline, plus one dispatch call and one load per op. Off restores the
-  // seed's one-runtime fleet; MVEE_ADAPTIVE_AGENTS=0 flips the default for
-  // whole-suite baseline sweeps.
-  bool adaptive_agents = DefaultAdaptiveAgents();
+  // AgentKind), which is migration-frozen and ungated. Not settable; kept
+  // only so the repo benchmark can still print it.
+  static constexpr bool adaptive_agents = true;
   // Sample interval of the route controller that promotes/demotes bound
   // variables from their observed contention. 0 disables the controller;
   // plan seeding and AgentFleet::ForceMigrate still work.
@@ -251,8 +239,8 @@ class SyncAgent {
   // keyed by a variant-invariant identity, and the program supplies it by
   // binding each routed variable — in every variant, before the variable's
   // first sync op — at the same program point (the paper's registration-at-
-  // allocation idiom). Unbound variables take the fleet's default route, so
-  // this is a no-op everywhere else.
+  // allocation idiom). Unbound variables take the fleet's default route;
+  // every other agent (the runtimes' own, and kNull's) ignores the call.
   virtual void BindVariable(const char* name, const void* addr) {
     (void)name;
     (void)addr;

@@ -128,7 +128,7 @@ bool VariableAgentMap::Bind(uint32_t variant, const void* addr, Entry* entry) {
 }
 
 VariableAgentMap::Entry* VariableAgentMap::Find(uint32_t variant, const void* addr) const {
-  // Nothing bound anywhere (the common single-agent-equivalent case): skip
+  // Nothing bound anywhere (the common unplanned case): skip
   // the probe entirely.
   if (entry_count_.load(std::memory_order_acquire) == 0 || variant >= tables_.size()) {
     return nullptr;

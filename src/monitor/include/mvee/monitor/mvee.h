@@ -76,8 +76,8 @@ struct MveeReport {
   uint64_t watchdog_nudges = 0;
   // Adaptive per-variable agents (docs/DESIGN.md §11): variables routed to
   // their own agent entry, and route migrations the controller (or
-  // ForceMigrate) completed/aborted during the run. All zero under
-  // MVEE_ADAPTIVE_AGENTS=0 or when the program binds nothing.
+  // ForceMigrate) completed/aborted during the run. All zero under the
+  // kNull agent or when the program binds nothing.
   uint64_t adaptive_bound_variables = 0;
   uint64_t agent_migrations = 0;
   uint64_t agent_migrations_aborted = 0;

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "mvee/sync/primitives.h"
 #include "mvee/syscall/sysno.h"
 #include "mvee/util/hash.h"
 #include "mvee/vkernel/vfs.h"
@@ -51,81 +49,13 @@ uint64_t LayoutToken(uint64_t map_base) { return SplitMix64(map_base ^ 0x5eC2e7U
 
 namespace {
 
-// Connection-fd queue between the dispatcher and the pool. Uses the
-// instrumented (pthread-equivalent) primitives — these were never the
-// problem in §5.5.
-class ConnQueue {
- public:
-  void Push(int64_t fd) {
-    LockGuard<Mutex> guard(mutex_);
-    queue_.push_back(fd);
-    available_.Signal();
-  }
-
-  // Returns -1 on shutdown (poison pill).
-  int64_t Pop() {
-    mutex_.Lock();
-    while (queue_.empty()) {
-      available_.Wait(mutex_);
-    }
-    const int64_t fd = queue_.front();
-    queue_.pop_front();
-    mutex_.Unlock();
-    return fd;
-  }
-
- private:
-  Mutex mutex_;
-  CondVar available_;
-  std::deque<int64_t> queue_;
-};
-
 struct ServerState {
   explicit ServerState(const ServerConfig& config)
       : stats_lock(config.instrument_custom_sync) {}
 
-  ConnQueue connections;
   NgxSpinlock stats_lock;
   ServerStats stats;
 };
-
-// Reads one HTTP/1.0 request (until "\r\n\r\n" or connection close).
-std::string ReadRequest(VariantEnv& env, int64_t fd) {
-  std::string request;
-  uint8_t buffer[512];
-  while (request.find("\r\n\r\n") == std::string::npos) {
-    const int64_t n = env.Recv(fd, buffer);
-    if (n <= 0) {
-      break;
-    }
-    request.append(reinterpret_cast<const char*>(buffer), static_cast<size_t>(n));
-    if (request.size() > 65536) {
-      break;
-    }
-  }
-  return request;
-}
-
-std::string RequestPath(const std::string& request) {
-  // "GET /path HTTP/1.0"
-  const size_t method_end = request.find(' ');
-  if (method_end == std::string::npos) {
-    return "/";
-  }
-  const size_t path_end = request.find(' ', method_end + 1);
-  if (path_end == std::string::npos) {
-    return "/";
-  }
-  return request.substr(method_end + 1, path_end - method_end - 1);
-}
-
-std::string MakeResponse(const std::string& body, uint64_t request_id) {
-  std::string response = "HTTP/1.0 200 OK\r\nContent-Length: " +
-                         std::to_string(body.size()) +
-                         "\r\nX-Request-Id: " + std::to_string(request_id) + "\r\n\r\n";
-  response += body;
-  return response;
-}
 
 // The CVE-2013-2028 stand-in. A request "/vuln" carries a binary payload
 // after the headers:
@@ -165,47 +95,11 @@ std::string HandleVuln(VariantEnv& env, const std::string& request,
   return static_page;
 }
 
-void Worker(std::shared_ptr<ServerState> state, const ServerConfig& config,
-            std::string static_page, VariantEnv& env) {
-  for (;;) {
-    const int64_t fd = state->connections.Pop();
-    if (fd < 0) {
-      break;  // Poison pill.
-    }
-    const std::string request = ReadRequest(env, fd);
-    const std::string path = RequestPath(request);
-
-    std::string body;
-    bool vuln_hit = false;
-    if (config.enable_vulnerability && path.rfind("/vuln", 0) == 0) {
-      body = HandleVuln(env, request, static_page);
-      vuln_hit = true;
-    } else {
-      body = static_page;
-    }
-
-    // Custom-primitive critical section: the request id lands in the
-    // response header, so a cross-variant mismatch is externally visible.
-    // The yield inside mirrors nginx doing real work under its locks and
-    // widens the race window that uninstrumented builds lose on.
-    state->stats_lock.Lock();
-    const uint64_t request_id = ++state->stats.requests_served;
-    std::this_thread::yield();
-    state->stats.bytes_sent += body.size();
-    if (vuln_hit) {
-      ++state->stats.vuln_hits;
-    }
-    state->stats_lock.Unlock();
-
-    env.Send(fd, MakeResponse(body, request_id));
-    env.Close(fd);
-  }
-}
-
 // --- Readiness-driven event loop (docs/DESIGN.md §10) ------------------------
 //
-// One acceptor thread polls the listener and hands accepted fds to the pool
-// workers over vkernel pipes (4-byte records, deterministic round-robin).
+// The only serve path. One acceptor thread polls the listener and hands
+// accepted fds to the pool workers over vkernel pipes (4-byte records,
+// deterministic round-robin).
 // Each worker multiplexes its handoff pipe plus all of its live connections
 // through sys_poll, parsing HTTP/1.1 keep-alive and pipelined requests out of
 // a bounded per-connection buffer. Under the MVEE this is deterministic
@@ -408,9 +302,10 @@ bool ServiceConn(EventConn& conn, ServerState& state, const ServerConfig& config
       body = static_page;
     }
 
-    // Same custom-primitive critical section as the seed dispatcher: the
-    // request id is externally visible, so uninstrumented builds still lose
-    // the §5.5 race under the event loop.
+    // Custom-primitive critical section: the request id lands in the
+    // response header, so a cross-variant mismatch is externally visible.
+    // The yield inside mirrors nginx doing real work under its locks and
+    // widens the race window that uninstrumented builds lose on (§5.5).
     state.stats_lock.Lock();
     const uint64_t request_id = ++state.stats.requests_served;
     std::this_thread::yield();
@@ -535,53 +430,28 @@ Program MakeServerProgram(const ServerConfig& config) {
 
     const int64_t listen_fd = env.Socket();
     env.Bind(listen_fd, config.port);
-    const int64_t backlog = config.use_event_loop ? config.listen_backlog : 128;
-    if (env.Listen(listen_fd, backlog) != 0) {
+    if (env.Listen(listen_fd, config.listen_backlog) != 0) {
       return;  // Port in use (another variant run left it open).
     }
 
-    if (config.use_event_loop) {
-      const uint32_t workers = std::max(1u, config.pool_threads);
-      std::vector<std::pair<int64_t, int64_t>> pipes;
-      for (uint32_t t = 0; t < workers; ++t) {
-        pipes.push_back(env.Pipe());
-      }
-      std::vector<ThreadHandle> pool;
-      for (uint32_t t = 0; t < workers; ++t) {
-        const int64_t read_fd = pipes[t].first;
-        pool.push_back(env.Spawn([state, config, static_page, read_fd](VariantEnv& wenv) {
-          EventWorker(state, config, static_page, read_fd, wenv);
-        }));
-      }
-      EventAcceptLoop(config, listen_fd, pipes, env);
-      for (const auto& pipe : pipes) {
-        env.Close(pipe.second);  // Workers observe EOF, drain, and exit.
-      }
-      for (ThreadHandle handle : pool) {
-        env.Join(handle);
-      }
-    } else {
-      // Seed dispatcher: one blocking accept at a time, one connection per
-      // worker wakeup, HTTP/1.0 only.
-      std::vector<ThreadHandle> pool;
-      for (uint32_t t = 0; t < config.pool_threads; ++t) {
-        pool.push_back(env.Spawn([state, config, static_page](VariantEnv& wenv) {
-          Worker(state, config, static_page, wenv);
-        }));
-      }
-      for (uint32_t c = 0; c < config.connection_budget; ++c) {
-        const int64_t conn_fd = env.Accept(listen_fd);
-        if (conn_fd < 0) {
-          break;
-        }
-        state->connections.Push(conn_fd);
-      }
-      for (uint32_t t = 0; t < config.pool_threads; ++t) {
-        state->connections.Push(-1);
-      }
-      for (ThreadHandle handle : pool) {
-        env.Join(handle);
-      }
+    const uint32_t workers = std::max(1u, config.pool_threads);
+    std::vector<std::pair<int64_t, int64_t>> pipes;
+    for (uint32_t t = 0; t < workers; ++t) {
+      pipes.push_back(env.Pipe());
+    }
+    std::vector<ThreadHandle> pool;
+    for (uint32_t t = 0; t < workers; ++t) {
+      const int64_t read_fd = pipes[t].first;
+      pool.push_back(env.Spawn([state, config, static_page, read_fd](VariantEnv& wenv) {
+        EventWorker(state, config, static_page, read_fd, wenv);
+      }));
+    }
+    EventAcceptLoop(config, listen_fd, pipes, env);
+    for (const auto& pipe : pipes) {
+      env.Close(pipe.second);  // Workers observe EOF, drain, and exit.
+    }
+    for (ThreadHandle handle : pool) {
+      env.Join(handle);
     }
 
     env.Shutdown(listen_fd);

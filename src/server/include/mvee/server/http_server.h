@@ -1,11 +1,12 @@
 // Mini multi-threaded HTTP server — the nginx-1.8 stand-in of paper §5.5.
 //
 // Faithful to the scenario the paper evaluates:
-//   * a thread pool serves requests accepted by a dispatcher thread;
-//   * inter-thread synchronization mixes pthread-style primitives (the
-//     instrumented Mutex/CondVar connection queue) with *custom* primitives
-//     the nginx developers wrote themselves (a spinlock + statistics
-//     counters built from raw compiler atomics);
+//   * a thread pool serves connections that an acceptor thread hands over
+//     as fds through vkernel pipes; each worker multiplexes its connections
+//     with sys_poll (the readiness-driven event loop, docs/DESIGN.md §10);
+//   * the workers share statistics guarded by a *custom* primitive the
+//     nginx developers wrote themselves (a spinlock built from raw compiler
+//     atomics), the §5.5 instrumentation point;
 //   * the custom primitives can be built instrumented or uninstrumented.
 //     Uninstrumented + multiple variants = benign divergence as soon as
 //     traffic flows, exactly as the paper reports;
@@ -19,23 +20,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "mvee/sync/instrumented.h"
 #include "mvee/variant/env.h"
 
 namespace mvee {
-
-// Default for ServerConfig::use_event_loop: on, unless the environment
-// forces the seed's one-at-a-time dispatcher (MVEE_SERVER_EVENT_LOOP=0).
-// The override lets the whole test suite sweep either serving architecture
-// without edits (`MVEE_SERVER_EVENT_LOOP=0 ctest`); explicit assignments
-// in code always win.
-inline bool DefaultServerEventLoop() {
-  const char* env = std::getenv("MVEE_SERVER_EVENT_LOOP");
-  return env == nullptr || env[0] != '0';
-}
 
 struct ServerConfig {
   uint16_t port = 8080;
@@ -50,21 +40,15 @@ struct ServerConfig {
   bool instrument_custom_sync = true;
   // Compile in the CVE-2013-2028-style vulnerable handler at /vuln.
   bool enable_vulnerability = false;
-  // Readiness-driven serving (docs/DESIGN.md §10): one acceptor thread polls
-  // the listener and distributes accepted fds to pool workers over vkernel
-  // pipes; each worker multiplexes its connections with sys_poll, serving
-  // HTTP/1.1 keep-alive and pipelined requests with bounded read buffers
-  // (400/413 on malformed/oversized requests) and draining gracefully when
-  // the budget is reached. False restores the seed dispatcher: HTTP/1.0,
-  // one blocking accept at a time, one connection per worker wakeup.
-  bool use_event_loop = DefaultServerEventLoop();
+  // Ignored: the readiness-driven event loop is the only serve path. Kept
+  // only because the repo benchmark's server workload still assigns it.
+  bool use_event_loop = true;
   // Per-connection read-buffer cap (headers + body). A request whose headers
   // never terminate inside the cap, or whose Content-Length exceeds it, is
   // answered with 413 and the connection is closed — never silently
-  // truncated (event loop only; the seed dispatcher keeps its historical
-  // 64 KiB silent cutoff).
+  // truncated.
   uint32_t max_request_bytes = 65536;
-  // Listener backlog (the seed hardcoded 128; open-loop bursts need more).
+  // Listener backlog; open-loop bursts need a deep one.
   int32_t listen_backlog = 1024;
 };
 
@@ -91,9 +75,8 @@ struct ServerStats {
   uint64_t requests_served = 0;
   uint64_t bytes_sent = 0;
   uint64_t vuln_hits = 0;
-  // Event-loop error accounting (the seed dispatcher never rejects): 400s
-  // for malformed request lines / headers, 413s for requests that exceed
-  // ServerConfig::max_request_bytes.
+  // Error accounting: 400s for malformed request lines / headers, 413s for
+  // requests that exceed ServerConfig::max_request_bytes.
   uint64_t bad_requests = 0;
   uint64_t oversized_requests = 0;
 };
@@ -101,8 +84,6 @@ struct ServerStats {
 // Builds the variant program that runs the server to completion (serves
 // `config.connection_budget` connections, then shuts down and writes its
 // stats to "result/http_stats"). The same program also runs natively.
-// `config.use_event_loop` selects between the readiness-driven event loop
-// and the seed's one-at-a-time dispatcher; both write identical stats lines.
 Program MakeServerProgram(const ServerConfig& config);
 
 // The secret the attack tries to exfiltrate (stands in for nginx worker

@@ -198,7 +198,6 @@ AgentConfig AdaptiveConfig(uint32_t variants, uint32_t threads) {
   config.max_threads = threads;
   config.buffer_capacity = 1 << 14;
   config.replay_deadline = std::chrono::milliseconds(20000);
-  config.adaptive_agents = true;  // Explicit: must hold under MVEE_ADAPTIVE_AGENTS=0 sweeps.
   config.migrate_interval_ms = 0;  // Controller off unless a test turns it on.
   return config;
 }
@@ -225,18 +224,21 @@ TEST(AdaptiveFleetTest, DerivedPlanSeedsDistinctRoutes) {
   EXPECT_EQ(fleet.RouteOf("never-registered"), AgentKind::kWallOfClocks);
 }
 
-TEST(AdaptiveFleetTest, NonAdaptiveFleetIgnoresPlan) {
+// The kNull fleet runs no agent runtime: it ignores a plan, and a bind
+// through its agent registers nothing.
+TEST(AdaptiveFleetTest, NullFleetIgnoresPlan) {
   AgentAssignmentPlan plan;
   plan.assignments.push_back({"hot", AgentKind::kTotalOrder, "shared-hot"});
-  AgentConfig config = AdaptiveConfig(2, 2);
-  config.adaptive_agents = false;
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  AgentFleet fleet(AgentKind::kWallOfClocks, config, control, &plan);
+  AgentFleet fleet(AgentKind::kNull, AdaptiveConfig(2, 2), control, &plan);
+  auto master = fleet.CreateAgent(0);
+  int hot = 0;
+  master->BindVariable("hot", &hot);
   EXPECT_FALSE(fleet.adaptive());
   EXPECT_EQ(fleet.BoundVariables(), 0u);
-  EXPECT_EQ(fleet.RouteOf("hot"), AgentKind::kWallOfClocks);
+  EXPECT_EQ(fleet.RouteOf("hot"), AgentKind::kNull);
   EXPECT_FALSE(fleet.ForceMigrate("hot", AgentKind::kTotalOrder));
 }
 
@@ -355,9 +357,8 @@ struct MigrationRunResult {
 // Two variants x two threads hammer one bound SpinLock; optionally the main
 // thread force-promotes its route mid-run. The per-variant acquisition logs
 // are the "variant output": replay equivalence = identical logs.
-MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int ops) {
+MigrationRunResult RunBoundLockHarness(bool force_migrate, int ops) {
   AgentConfig config = AdaptiveConfig(2, 2);
-  config.adaptive_agents = adaptive;
   config.migrate_timeout = std::chrono::milliseconds(10000);
   AgentAssignmentPlan plan;
   plan.assignments.push_back({"hot", AgentKind::kWallOfClocks, "seeded"});
@@ -420,7 +421,7 @@ MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int op
 
 TEST(AdaptiveMigrationTest, ForcedPromotionUnderLoadKeepsVariantsEquivalent) {
   const int ops = 20000;
-  const MigrationRunResult migrated = RunBoundLockHarness(true, /*force_migrate=*/true, ops);
+  const MigrationRunResult migrated = RunBoundLockHarness(/*force_migrate=*/true, ops);
   ASSERT_TRUE(migrated.ok);
   EXPECT_TRUE(migrated.migrate_returned);
   EXPECT_GE(migrated.migrations_completed, 1u);
@@ -429,13 +430,13 @@ TEST(AdaptiveMigrationTest, ForcedPromotionUnderLoadKeepsVariantsEquivalent) {
   // Byte-identical variant output across the mid-run flip.
   EXPECT_EQ(migrated.logs[0], migrated.logs[1]);
 
-  // The static-only control run: same program, no migration machinery in the
-  // way — equally equivalent, with the same op volume.
-  const MigrationRunResult baseline = RunBoundLockHarness(false, /*force_migrate=*/false, ops);
-  ASSERT_TRUE(baseline.ok);
-  EXPECT_EQ(baseline.migrations_completed, 0u);
-  ASSERT_EQ(baseline.logs[0].size(), static_cast<size_t>(2 * ops));
-  EXPECT_EQ(baseline.logs[0], baseline.logs[1]);
+  // The control run: same program and fleet, no migration — equally
+  // equivalent, with the same op volume.
+  const MigrationRunResult control = RunBoundLockHarness(/*force_migrate=*/false, ops);
+  ASSERT_TRUE(control.ok);
+  EXPECT_EQ(control.migrations_completed, 0u);
+  ASSERT_EQ(control.logs[0].size(), static_cast<size_t>(2 * ops));
+  EXPECT_EQ(control.logs[0], control.logs[1]);
 }
 
 // The fluidanimate shape under migration: three variants x two threads
@@ -822,20 +823,21 @@ struct MveeSweepResult {
   bool ok = false;
 };
 
-MveeSweepResult RunAdaptiveSweep(bool adaptive) {
+MveeSweepResult RunAdaptiveSweep(bool with_plan) {
   MveeOptions options;
   options.num_variants = 2;
   options.agent = AgentKind::kWallOfClocks;
   options.enable_aslr = false;
   options.rendezvous_timeout = std::chrono::milliseconds(20000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(20000);
-  options.agent_config.adaptive_agents = adaptive;
   options.agent_config.migrate_interval_ms = 0;  // Static seeding only.
-  options.agent_plan.assignments = {
-      {"hot", AgentKind::kTotalOrder, "shared-hot"},
-      {"cold", AgentKind::kPerVariableOrder, "uncontended-shared"},
-      {"scratch", AgentKind::kNull, "thread-local"},
-  };
+  if (with_plan) {
+    options.agent_plan.assignments = {
+        {"hot", AgentKind::kTotalOrder, "shared-hot"},
+        {"cold", AgentKind::kPerVariableOrder, "uncontended-shared"},
+        {"scratch", AgentKind::kNull, "thread-local"},
+    };
+  }
   Mvee mvee(options);
   const Status status = mvee.Run([](VariantEnv& env) {
     auto hot = std::make_shared<Mutex>();
@@ -871,7 +873,7 @@ MveeSweepResult RunAdaptiveSweep(bool adaptive) {
   });
   MveeSweepResult result;
   result.ok = status.ok();
-  EXPECT_TRUE(status.ok()) << "adaptive=" << adaptive << ": " << status.ToString();
+  EXPECT_TRUE(status.ok()) << "with_plan=" << with_plan << ": " << status.ToString();
   result.bound_variables = mvee.report().adaptive_bound_variables;
   result.migrations = mvee.report().agent_migrations;
   result.migrations_aborted = mvee.report().agent_migrations_aborted;
@@ -882,18 +884,23 @@ MveeSweepResult RunAdaptiveSweep(bool adaptive) {
   return result;
 }
 
-TEST(AdaptiveMveeTest, ToggleSweepProducesIdenticalOutput) {
-  const MveeSweepResult on = RunAdaptiveSweep(true);
-  const MveeSweepResult off = RunAdaptiveSweep(false);
-  ASSERT_TRUE(on.ok);
-  ASSERT_TRUE(off.ok);
-  EXPECT_FALSE(on.output.empty());
-  EXPECT_EQ(on.output, off.output);
-  EXPECT_EQ(on.output, "400,100,200,200");
-  EXPECT_EQ(on.bound_variables, 3u);
-  EXPECT_EQ(on.migrations, 0u);
-  EXPECT_EQ(on.migrations_aborted, 0u);
-  EXPECT_EQ(off.bound_variables, 0u);
+// The plan moves routes, never output: the planned run and the unplanned
+// one (every bound name on the default route) both produce the fixed
+// program output.
+TEST(AdaptiveMveeTest, PlannedAndUnplannedRunsProduceFixedOutput) {
+  const MveeSweepResult planned = RunAdaptiveSweep(true);
+  const MveeSweepResult unplanned = RunAdaptiveSweep(false);
+  ASSERT_TRUE(planned.ok);
+  ASSERT_TRUE(unplanned.ok);
+  EXPECT_EQ(planned.output, "400,100,200,200");
+  EXPECT_EQ(unplanned.output, "400,100,200,200");
+  EXPECT_EQ(planned.bound_variables, 3u);
+  EXPECT_EQ(planned.migrations, 0u);
+  EXPECT_EQ(planned.migrations_aborted, 0u);
+  // Binding registers each name even without a plan (on the default route).
+  EXPECT_EQ(unplanned.bound_variables, 3u);
+  EXPECT_EQ(unplanned.migrations, 0u);
+  EXPECT_EQ(unplanned.migrations_aborted, 0u);
 }
 
 // Controller-driven promotion during a full MVEE run surfaces in the report
@@ -906,7 +913,6 @@ TEST(AdaptiveMveeTest, ControllerMigrationSurfacesInReport) {
     options.enable_aslr = false;
     options.rendezvous_timeout = std::chrono::milliseconds(30000);
     options.agent_config.replay_deadline = std::chrono::milliseconds(30000);
-    options.agent_config.adaptive_agents = true;
     options.agent_config.migrate_interval_ms = 5;
     options.agent_config.migrate_min_ops = 32;
     options.agent_plan.assignments = {{"promo", AgentKind::kPerVariableOrder, "misseeded"}};

@@ -297,7 +297,6 @@ TEST(AgentReplayTest, TicketedTotalOrderSurvivesConstantRingWrap) {
   config.num_variants = 2;
   config.max_threads = kThreads;
   config.buffer_capacity = 64;
-  config.adaptive_agents = false;
   config.replay_deadline = std::chrono::milliseconds(20000);
   std::atomic<bool> abort{false};
   std::atomic<bool> stalled{false};

@@ -478,7 +478,6 @@ TEST(ChaosServerTest, ServerSurvivesVariantExcisionMidTraffic) {
   config.port = kPort;
   config.pool_threads = 4;
   config.page_bytes = 256;
-  config.use_event_loop = true;
   config.connection_budget = kConnections + 1;  // + readiness probe.
 
   OpenLoopOptions load;

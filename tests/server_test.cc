@@ -230,14 +230,12 @@ bool ServerClosed(VConnection& conn, std::string& in) {
   }
 }
 
-// Runs a native event-loop server (pinned on, regardless of the
-// MVEE_SERVER_EVENT_LOOP sweep) and a raw-socket client against it.
+// Runs a native event-loop server and a raw-socket client against it.
 // `budget` must count the readiness probe.
 template <typename ClientFn>
 void WithNativeEventServer(uint16_t port, uint32_t budget, ClientFn client_fn) {
   NativeRunner runner;
   ServerConfig config = SmallServer(port, /*instrument=*/true);
-  config.use_event_loop = true;
   config.connection_budget = budget;
   std::thread client([&] {
     VRef<VConnection> probe;
@@ -345,7 +343,6 @@ TEST(EventLoopTest, MveeOpenLoopKeepAliveServesAll) {
   Mvee mvee(options);
 
   ServerConfig config = SmallServer(8204, /*instrument=*/true);
-  config.use_event_loop = true;
   config.connection_budget = 17;  // 16 open-loop connections + 1 probe.
 
   OpenLoopOptions load;
@@ -386,8 +383,7 @@ TEST(EventLoopTest, MveeOpenLoopKeepAliveServesAll) {
 
 TEST(EventLoopTest, MveeDetectsAttackUnderEventLoop) {
   // The §5.5 attack/divergence property must survive the serving-path
-  // rewrite: pinned use_event_loop so this holds even when the suite sweeps
-  // MVEE_SERVER_EVENT_LOOP=0.
+  // rewrite.
   MveeOptions options;
   options.num_variants = 2;
   options.enable_aslr = true;
@@ -397,7 +393,6 @@ TEST(EventLoopTest, MveeDetectsAttackUnderEventLoop) {
   Mvee mvee(options);
 
   ServerConfig config = SmallServer(8205, /*instrument=*/true, /*vuln=*/true);
-  config.use_event_loop = true;
   config.connection_budget = 2;
 
   AttackResult attack;
