@@ -217,9 +217,12 @@ int main() {
   SetLogLevel(LogLevel::kError);
   PrintHeader("Adaptive per-variable agents: static fleets vs seeded vs controller");
 
+  // 250k iterations/thread by default: the fastest leg then lasts ~0.3 s or
+  // more on a 4-core host, long enough that one descheduling does not swing
+  // the oracle/best-fixed ratio (at 50k the fastest legs lasted 0.06-0.1 s).
   const int iters =
       static_cast<int>(EnvInt("MVEE_BENCH_ADAPTIVE_ITERS",
-                              static_cast<int64_t>(25000 * BenchScale(2.0))));
+                              static_cast<int64_t>(125000 * BenchScale(2.0))));
   std::printf("threads=%u iters/thread=%d variants=%u\n\n", kThreads, iters, kVariants);
 
   const AgentAssignmentPlan oracle = DeriveOraclePlan();

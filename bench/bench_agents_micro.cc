@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark) of the hot paths underneath every
 // table/figure: per-sync-op record and replay costs of the three agents, the
-// broadcast ring, the comparable-argument digest, and the instrumented
-// primitives' uncontended fast paths.
+// broadcast ring, the comparable-argument digest, one lockstep rendezvous
+// round, and the instrumented primitives' uncontended fast paths.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "mvee/agents/agent_fleet.h"
 #include "mvee/agents/context.h"
+#include "mvee/monitor/mvee.h"
 #include "mvee/sync/primitives.h"
 #include "mvee/syscall/record.h"
 #include "mvee/util/spsc_ring.h"
@@ -153,6 +156,55 @@ void BM_LockstepCompare(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LockstepCompare)->Arg(64)->Arg(512)->Arg(4096);
+
+// --- One lockstep round, end to end ---
+
+// 2 variants x 1 thread, each round a 17-byte replicated write (the size
+// pipeline_io writes): gather, compare, master execution, publication,
+// slave completion and drain. Each benchmark iteration is one Mvee::Run;
+// the manual time is variant 0's wall time over the timed writes only, so
+// ns_per_round excludes setup, warmup and teardown.
+void BM_LockstepRound(benchmark::State& state) {
+  const int64_t rounds = state.range(0);
+  constexpr int64_t kWarmup = 1000;
+  const std::string line = "item 0123456789\n\n";  // 17 bytes
+  double total_seconds = 0;
+  for (auto _ : state) {
+    MveeOptions options;
+    options.num_variants = 2;
+    Mvee mvee(options);
+    std::atomic<int64_t> elapsed_ns{0};
+    const Status status = mvee.Run([&](VariantEnv& env) {
+      const bool master = env.MveeSelfAware() == 0;
+      const int64_t fd =
+          env.Open("rounds", VOpenFlags::kWrite | VOpenFlags::kCreate | VOpenFlags::kTruncate);
+      for (int64_t i = 0; i < kWarmup; ++i) {
+        env.Write(fd, line);
+      }
+      const auto start = std::chrono::steady_clock::now();
+      for (int64_t i = 0; i < rounds; ++i) {
+        env.Write(fd, line);
+      }
+      const auto stop = std::chrono::steady_clock::now();
+      if (master) {
+        elapsed_ns.store(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
+      }
+      env.Close(fd);
+    });
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      break;
+    }
+    const double seconds = static_cast<double>(elapsed_ns.load()) * 1e-9;
+    total_seconds += seconds;
+    state.SetIterationTime(seconds);
+  }
+  const double total_rounds = static_cast<double>(state.iterations() * rounds);
+  state.SetItemsProcessed(state.iterations() * rounds);
+  state.counters["ns_per_round"] = total_rounds > 0 ? total_seconds * 1e9 / total_rounds : 0;
+}
+BENCHMARK(BM_LockstepRound)->Arg(20000)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 // --- Instrumented primitives, uncontended fast paths (NullAgent) ---
 

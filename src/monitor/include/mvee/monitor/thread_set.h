@@ -8,9 +8,9 @@
 //
 // Round protocol:
 //   1. gather    — every variant deposits its request and a scalar digest;
-//                  the last arriver compares the digests and every member's
-//                  in_data bytes against the master's, in place
-//                  (divergence => MVEE shutdown), and opens the round.
+//                  the last arriver claims the round and compares the
+//                  digests and every member's in_data bytes against the
+//                  master's, in place (divergence => MVEE shutdown).
 //   2. execute   — class-dependent:
 //        kReplicated: master executes against the kernel (may block); the
 //                     result + output bytes are published to the slaves,
@@ -29,10 +29,11 @@
 // Lockstep rounds run on round slabs: a small ring of epoch-numbered,
 // cache-padded round structs. Variants arrive with one fetch_or, whichever
 // thread completes the live set claims the open (open_claim CAS), compares
-// the deposits and opens execution with a release store, slaves spin on the
-// slab's phase word (SpinWait) and fall back to a futex-style parked wait
-// after the spin budget. No mutex, no condvar, no allocation on the happy
-// path. Protocol walkthrough + memory ordering argument: docs/DESIGN.md §6.
+// the deposits, runs the master call and publishes membership and result
+// with one release store; the others spin on the slab's phase word
+// (SpinWait) and fall back to a futex-style parked wait after the spin
+// budget. No mutex, no condvar, no allocation on the happy path. Protocol
+// walkthrough + memory ordering argument: docs/DESIGN.md §6.
 //
 // Failure model (docs/DESIGN.md §9): round membership is the reporter's
 // live-variant mask, sampled when a round opens. A variant that crashes,
@@ -159,9 +160,8 @@ class ThreadSetMonitor {
 
   // Monotonic per-round phases (the slab's state word).
   enum : uint32_t {
-    kRoundGather = 0,     // collecting arrivals
-    kRoundOpen = 1,       // deposits matched; execution may start
-    kRoundMasterDone = 2  // master result published
+    kRoundGather = 0,     // collecting arrivals, comparing, executing
+    kRoundMasterDone = 1  // membership and master result published
   };
 
   // One variant's deposit, padded so concurrent arrivals never share a line.
@@ -178,16 +178,18 @@ class ThreadSetMonitor {
 
   // One in-flight round. All non-atomic fields are handed between variants
   // exclusively through the release/acquire edges on `arrivals`, `phase`,
-  // `drained`, and `epoch` (docs/DESIGN.md §6).
+  // `drained`, and `epoch` (docs/DESIGN.md §6). The words written in
+  // different steps of a round sit on separate lines: waiters poll `phase`
+  // while the arrivals and the opener write the control line, and the
+  // drains do not disturb either.
   struct RoundSlab {
     // The round number this slab currently serves; advanced by
     // +kSlabRingDepth by the last drainer (release) — the arrival gate that
     // makes slab reuse safe.
     alignas(64) std::atomic<uint64_t> epoch{0};
-    // Phase word slaves spin on; advanced with release stores only.
+    // Phase word waiters spin on; advanced with release stores only.
     alignas(64) std::atomic<uint32_t> phase{kRoundGather};
-    std::atomic<uint32_t> arrivals{0};  // bitmap of arrived variants
-    std::atomic<uint32_t> drained{0};   // bitmap of drained arrivals
+    alignas(64) std::atomic<uint32_t> arrivals{0};  // bitmap of arrived variants
     // Open claim: whoever observes the live set fully arrived CASes 0 -> 1
     // and becomes the opener. With a static membership the last arriver
     // always wins this CAS uncontended; the claim exists so that when an
@@ -205,10 +207,11 @@ class ThreadSetMonitor {
     // (wait for the phase), or already drained (its drained bit is set).
     static constexpr uint32_t kNoExecutor = 0xffffffffu;
     std::atomic<uint32_t> executor{kNoExecutor};
-    // The live mask sampled by the opener; published by the kRoundOpen
-    // release store. Arrived variants outside the mask drain without
-    // executing and unwind.
+    // The live mask sampled by the opener; published by the
+    // kRoundMasterDone release store. Arrived variants outside the mask
+    // drain without executing and unwind.
     uint32_t members = 0;
+    alignas(64) std::atomic<uint32_t> drained{0};  // bitmap of drained arrivals
     // Round data (no locks; see the handoff edges above):
     alignas(64) int64_t control_retval = 0;
     SyscallResult master_result;
@@ -245,8 +248,9 @@ class ThreadSetMonitor {
 
   // Attempts to claim and open the slab round: samples membership, waits
   // out dead variants mid-deposit, compares the deposits (excising a single
-  // outlier when policy permits), publishes kRoundOpen and runs the
-  // combined master call. Returns true iff this thread was the opener.
+  // outlier when policy permits), runs the combined master call and
+  // publishes membership with kRoundMasterDone. Returns true iff this
+  // thread was the opener.
   bool TryOpenSlabRound(RoundSlab& slab, uint64_t round, SyscallClass klass,
                         uint32_t variant);
 
@@ -273,16 +277,19 @@ class ThreadSetMonitor {
   // still alive. On normal completion this is a no-op; on an exceptional
   // unwind it holds the frame until no foreign thread can still read it:
   // the opener dereferences every member's deposited request, in_data bytes
-  // included, during the compare (pre-kRoundOpen) and keeps executing
-  // against the MASTER's request until kRoundMasterDone (flat combining).
+  // included, during the compare, and keeps executing against the MASTER's
+  // request until kRoundMasterDone (flat combining), the one publication
+  // that ends every member's hold.
   // Unwinding through that window frees a stack another thread is reading
   // — the cause of rare shutdown-race segfaults under poll-heavy servers.
   void HoldFrameForCombiner(RoundSlab& slab, uint32_t variant);
 
-  // Spins (then parks) until `ready()` holds. Returns false on rendezvous
-  // timeout when `timed`; throws VariantKilled on MVEE shutdown. The
-  // untimed form is for waiting on the master, which may legitimately block
-  // in the kernel (futex, accept) for longer than any rendezvous budget.
+  // Spins (then parks) until `ready(spinning)` holds; `spinning` is true
+  // during SpinWait's PAUSE phase, so a predicate can poll cheap words first.
+  // Returns false on rendezvous timeout when `timed`; throws VariantKilled on
+  // MVEE shutdown. The untimed form is for waiting on the master, which may
+  // legitimately block in the kernel (futex, accept) for longer than any
+  // rendezvous budget.
   template <typename Predicate>
   bool AwaitSlabState(Predicate&& ready, bool timed);
 

@@ -174,7 +174,7 @@ std::string ThreadSetMonitor::CompareSlabRoundLive(const RoundSlab& slab, uint32
     const uint32_t v = static_cast<uint32_t>(std::countr_zero(rest));
     rest &= rest - 1;
     // Scalars through the deposited digests, then the payload bytes in place
-    // (sizes first): every member's frame is held until kRoundOpen.
+    // (sizes first): every member's frame is held until kRoundMasterDone.
     const ArrivalSlot& slot = slab.slots[v];
     if (slot.request->sysno != master.request->sysno || slot.digest != master.digest ||
         !slot.request->SamePayload(*master.request)) {
@@ -447,6 +447,13 @@ int64_t ThreadSetMonitor::ExecuteSlave(uint32_t variant, SyscallRequest& request
     }
 
     case SyscallClass::kOrdered: {
+      if (request.sysno == Sysno::kOpen) {
+        // Every variant opens the one shared VFS file: the master's
+        // execution already truncated it, and a slave truncating again
+        // would wipe what the master (or, in loose mode, the leader's later
+        // writes) put there since. Slaves only install the descriptor.
+        request.arg0 &= ~VOpenFlags::kTruncate;
+      }
       if (shared_->options->order_resource_calls) {
         // Spin until this variant's private clock for the stamped domain
         // reaches the recorded timestamp (§4.1). Replays of calls on disjoint
@@ -657,20 +664,20 @@ bool ThreadSetMonitor::AwaitSlabState(Predicate&& ready, bool timed) {
   DeadlineGate deadline(shared_->options->rendezvous_timeout);
   DivergenceReporter* reporter = shared_->reporter;
   for (;;) {
-    if (ready()) {
+    if (ready(waiter.Spinning())) {
       return true;
     }
     if (reporter->tripped()) {
       throw VariantKilled{};
     }
     if (waiter.spins() < kParkAfterSpins) {
-      // The PAUSE phase (first 64 steps, nanoseconds) stays deadline-blind;
+      // The PAUSE phase (nanoseconds per step) stays deadline-blind;
       // from the first yield on every step is already a syscall, so a clock
       // read per step costs comparatively nothing — and on an oversubscribed
       // host a yield can take milliseconds, so sparser checks would let the
       // deadline slip far past its budget (and let a late-arriving sibling
       // turn a timeout verdict into a bogus divergence).
-      if (timed && waiter.spins() >= 64 && deadline.ExpiredNow()) {
+      if (timed && !waiter.Spinning() && deadline.ExpiredNow()) {
         return false;
       }
       waiter.Pause();
@@ -681,7 +688,7 @@ bool ThreadSetMonitor::AwaitSlabState(Predicate&& ready, bool timed) {
     // util/park.h; publishers WakeParked after every phase/epoch store.
     park_.BeginPark();
     const uint64_t ticket = park_.Ticket();
-    if (ready() || reporter->tripped()) {
+    if (ready(false) || reporter->tripped()) {
       park_.EndPark();
       continue;
     }
@@ -689,7 +696,7 @@ bool ThreadSetMonitor::AwaitSlabState(Predicate&& ready, bool timed) {
     park_.EndPark();
     // Re-check readiness before the deadline: a round that completed right
     // at the wire must win over a just-expired budget, as on the spin path.
-    if (ready()) {
+    if (ready(false)) {
       return true;
     }
     if (timed && deadline.ExpiredNow()) {
@@ -780,7 +787,7 @@ void ThreadSetMonitor::ExciseMissingSlab(RoundSlab& slab, uint64_t round, uint32
 bool ThreadSetMonitor::TryOpenSlabRound(RoundSlab& slab, uint64_t round, SyscallClass klass,
                                         uint32_t variant) {
   DivergenceReporter* reporter = shared_->reporter;
-  if (slab.phase.load(std::memory_order_acquire) >= kRoundOpen) {
+  if (slab.open_claim.load(std::memory_order_relaxed) != 0) {
     return false;
   }
   const uint32_t full = (1u << shared_->options->num_variants) - 1;
@@ -846,33 +853,33 @@ bool ThreadSetMonitor::TryOpenSlabRound(RoundSlab& slab, uint64_t round, Syscall
     members &= ~(1u << outlier);
   }
   slab.members = members;
+  SyscallRequest& master_request = *slab.slots[0].request;
   // Control-call preprocessing shared by all variants.
-  if (slab.slots[0].request->sysno == Sysno::kClone) {
+  if (master_request.sysno == Sysno::kClone) {
     slab.control_retval = shared_->next_tid.fetch_add(1, std::memory_order_relaxed);
   }
   // Route signals exactly once per round: a kill enqueues for its target,
   // and anything pending for THIS thread set is latched so every variant
   // delivers at this same syscall boundary.
-  RouteSignals(*slab.slots[0].request, &slab.signals);
+  RouteSignals(master_request, &slab.signals);
   counters_.Count(klass);
   if (reporter->excision_probe_armed()) [[unlikely]] {
     // First round to open after an excision: recovery is complete.
     reporter->CompleteExcisionProbe();
   }
-  slab.phase.store(kRoundOpen, std::memory_order_release);
-  park_.WakeParked();
   // Flat-combining master execution: the opener — whichever variant it
   // belongs to — performs the master call itself, against the MASTER's
   // deposited request (variant-local pointers: buffers, futex word,
   // local_addr) and the master's process state. The virtual kernel is
   // executor-agnostic, and combining saves the wake-the-master-then-wake-
   // the-slaves double handoff per round — on oversubscribed hosts that
-  // halves the context switches. The result (payload in the slab's pooled
-  // buffer) is published with one release store; slaves read it in place —
-  // no per-slave clone, no allocation. (Even an opener excised as the
-  // digest outlier completes this duty before unwinding: its thread is
-  // alive, and the survivors need the round.)
-  SyscallRequest& master_request = *slab.slots[0].request;
+  // halves the context switches. Membership, the latched signals and the
+  // result (payload in the slab's pooled buffer) are published with one
+  // release store; the others read them in place — no per-slave clone, no
+  // allocation. Waiters stopped their rendezvous deadline when they saw the
+  // claim, so a master call that blocks is no timeout. (Even an opener
+  // excised as the digest outlier completes this duty before unwinding: its
+  // thread is alive, and the survivors need the round.)
   slab.payload.Clear();
   master_request.payload_pool = &slab.payload;
   progress_[variant].in_master.store(true, std::memory_order_relaxed);
@@ -885,11 +892,11 @@ bool ThreadSetMonitor::TryOpenSlabRound(RoundSlab& slab, uint64_t round, Syscall
 
 void ThreadSetMonitor::HoldFrameForCombiner(RoundSlab& slab, uint32_t variant) {
   // How long a foreign thread may read slots[variant].request: the opener
-  // compares every member's request, in_data bytes included, until kRoundOpen;
-  // the MASTER's request additionally feeds the combined execution (and
-  // RouteSignals / the kClone check) until kRoundMasterDone.
-  const uint32_t release_phase = variant == 0 ? kRoundMasterDone : kRoundOpen;
-  if (slab.phase.load(std::memory_order_acquire) >= release_phase) {
+  // compares every member's request (in_data bytes, and the fields a
+  // divergence report names), then feeds the MASTER's request to
+  // RouteSignals, the kClone check and the combined execution. Its one
+  // publication, kRoundMasterDone, ends every hold.
+  if (slab.phase.load(std::memory_order_acquire) >= kRoundMasterDone) {
     return;  // normal completion, or the round already left the window
   }
   if (shared_->reporter->tripped()) {
@@ -908,7 +915,7 @@ void ThreadSetMonitor::HoldFrameForCombiner(RoundSlab& slab, uint32_t variant) {
     // round must stay openable for the survivors — do not poison it.
     return;
   }
-  // An opener holds the claim. Wait until it publishes the release phase,
+  // An opener holds the claim. Wait until it publishes kRoundMasterDone,
   // or until it turns out to be us, or until it abandoned the round (its
   // drained bit set during unwind — after which it touches no slot). The
   // wait is bounded: blocking kernel calls are shutdown-interruptible
@@ -918,7 +925,7 @@ void ThreadSetMonitor::HoldFrameForCombiner(RoundSlab& slab, uint32_t variant) {
   // may land after our tripped() check above, so it is re-checked here.
   SpinWait waiter;
   for (;;) {
-    if (slab.phase.load(std::memory_order_acquire) >= release_phase ||
+    if (slab.phase.load(std::memory_order_acquire) >= kRoundMasterDone ||
         slab.open_claim.load(std::memory_order_acquire) == RoundSlab::kPoisonedClaim) {
       return;
     }
@@ -982,7 +989,7 @@ int64_t ThreadSetMonitor::RunSyscallSlab(uint32_t variant, SyscallRequest& reque
   //    epoch). In steady state this is a single acquire load. An excised
   //    variant parked here (its siblings moved on without it) unwinds.
   if (!AwaitSlabState(
-          [&] {
+          [&](bool) {
             return slab.epoch.load(std::memory_order_acquire) == round ||
                    reporter->VariantDead(variant);
           },
@@ -1053,34 +1060,37 @@ int64_t ThreadSetMonitor::RunSyscallSlab(uint32_t variant, SyscallRequest& reque
     // divergence through an uninstrumented sync op) trips the timeout. The
     // live mask is snapshotted per window so a mid-wait excision (from any
     // thread set) resets the stragglers' deadline instead of cascading.
+    // The deadline covers the gather only: it stops once the round is
+    // claimed.
     const uint32_t live_at_wait =
         reporter->live_mask() & ((1u << shared_->options->num_variants) - 1);
     if (AwaitSlabState(
-            [&] {
-              if (slab.phase.load(std::memory_order_acquire) >= kRoundOpen) {
-                return true;
+            [&](bool spinning) {
+              if (slab.phase.load(std::memory_order_acquire) >= kRoundMasterDone) {
+                return true;  // claimed, compared and executed already
               }
-              if (slab.open_claim.load(std::memory_order_acquire) != 0) {
-                return false;  // opener at work; wait for its phase store
+              // While spinning, poll only the phase line: the opener writes
+              // the control line several times per round (arrival, claim,
+              // executor, members), and a waiter polling it would pull the
+              // line away between those stores.
+              if (spinning) {
+                return false;
               }
-              return SlabGatherComplete(slab);
+              return slab.open_claim.load(std::memory_order_acquire) != 0 ||
+                     SlabGatherComplete(slab);
             },
             /*timed=*/true)) {
-      if (slab.phase.load(std::memory_order_acquire) >= kRoundOpen) {
+      const uint32_t claim = slab.open_claim.load(std::memory_order_acquire);
+      if (claim == RoundSlab::kOpenerClaim) {
         break;
+      }
+      if (claim == RoundSlab::kPoisonedClaim) {
+        throw VariantKilled{};  // shutdown: no opener will ever claim it
       }
       continue;  // complete (an excision shrank the set): retry the claim
     }
     // Throws when fatal; may defer its verdict to the next window.
     ExciseMissingSlab(slab, round, variant, live_at_wait, &deferred_missing, request);
-  }
-
-  // 4. Membership check: arrived but excluded when the round opened (excised
-  //    mid-gather, or the digest outlier). Leave without executing; the
-  //    guard drains our arrival so the survivors can recycle.
-  const uint32_t members = slab.members;
-  if ((members & self_bit) == 0) {
-    throw VariantKilled{};
   }
 
   if (!opened_by_me) {
@@ -1089,7 +1099,7 @@ int64_t ThreadSetMonitor::RunSyscallSlab(uint32_t variant, SyscallRequest& reque
     // shutdown still interrupts via reporter->tripped() + WakeParked, and an
     // excision of THIS variant lifts the wait (skip execution, drain).
     AwaitSlabState(
-        [&] {
+        [&](bool) {
           return slab.phase.load(std::memory_order_acquire) >= kRoundMasterDone ||
                  reporter->VariantDead(variant);
         },
@@ -1097,6 +1107,13 @@ int64_t ThreadSetMonitor::RunSyscallSlab(uint32_t variant, SyscallRequest& reque
     if (slab.phase.load(std::memory_order_acquire) < kRoundMasterDone) {
       throw VariantKilled{};  // excised while the master was still pending
     }
+  }
+
+  // 4. Membership check: arrived but excluded when the round opened (excised
+  //    mid-gather, or the digest outlier). Leave without executing; the
+  //    guard drains our arrival so the survivors can recycle.
+  if ((slab.members & self_bit) == 0) {
+    throw VariantKilled{};
   }
 
   // 5. Per-variant completion. The master's thread only picks up the

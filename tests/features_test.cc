@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -105,6 +106,36 @@ TEST(LooseModeTest, LeaderRunsAheadOfFollowers) {
     }
   });
   EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+// An ordered open with kTruncate truncates the one shared file once, on the
+// master's execution; a slave's replay of the open only installs its
+// descriptor. The follower here opens long after the leader wrote, so a
+// slave-side truncate would wipe the leader's bytes.
+void TruncatingOpenKeepsMasterWrites(const MveeOptions& options) {
+  Mvee mvee(options);
+  mvee.kernel().vfs().PutFile("trunc.txt", {'s', 't', 'a', 'l', 'e', '!', '!'});
+  const Status status = mvee.Run([](VariantEnv& env) {
+    if (env.MveeSelfAware() != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    const int64_t fd =
+        env.Open("trunc.txt", VOpenFlags::kWrite | VOpenFlags::kCreate | VOpenFlags::kTruncate);
+    env.Write(fd, std::string("abc"));
+    env.Close(fd);
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(FileText(mvee.kernel(), "trunc.txt"), "abc");
+}
+
+TEST(LooseModeTest, SlaveOpenDoesNotRetruncate) {
+  TruncatingOpenKeepsMasterWrites(LooseOptions(2));
+}
+
+TEST(LockstepOpenTest, SlaveOpenDoesNotRetruncate) {
+  MveeOptions options = LooseOptions(2);
+  options.sync_model = SyncModel::kLockstep;
+  TruncatingOpenKeepsMasterWrites(options);
 }
 
 TEST(LooseModeTest, WorkloadUnderLooseModel) {

@@ -334,6 +334,31 @@ TEST(RendezvousFailureTest, ParkedSlaveSeesLateMasterResult) {
   EXPECT_EQ(agreed.load(), 3);
 }
 
+// The waiters' rendezvous deadline covers the gather only: once the round
+// is claimed, a master call that blocks in the kernel far past
+// rendezvous_timeout (a futex wait, woken by a sibling thread after twice
+// the budget) must not turn into a timeout verdict for the member waiting
+// on its result.
+TEST(RendezvousFailureTest, BlockedMasterCallIsNoRendezvousTimeout) {
+  MveeOptions options = Opts();
+  options.rendezvous_timeout = std::chrono::milliseconds(150);
+  Mvee mvee(options);
+  const Status status = mvee.Run([&](VariantEnv& env) {
+    std::atomic<int32_t> word{0};
+    ThreadHandle waker = env.Spawn([&word](VariantEnv& wenv) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      word.store(1, std::memory_order_release);
+      wenv.FutexWake(&word, 1);
+    });
+    while (word.load(std::memory_order_acquire) == 0) {
+      env.FutexWait(&word, 0);
+    }
+    env.Join(waker);
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString() << " " << mvee.report().divergence_detail;
+  EXPECT_TRUE(mvee.report().excised_variants.empty());
+}
+
 // --- Lockstep payload compare ------------------------------------------------
 
 // Writes a 4096-byte body and then a short trailer. With `corrupt_last_byte`

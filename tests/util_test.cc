@@ -1,10 +1,11 @@
-// Unit tests for src/util: RNG determinism, hashing, the broadcast ring, and
-// the statistics helpers.
+// Unit tests for src/util: RNG determinism, hashing, the broadcast ring, the
+// statistics helpers, and the parking spot's wakeup discipline.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <thread>
@@ -12,6 +13,7 @@
 
 #include "mvee/util/hash.h"
 #include "mvee/util/histogram.h"
+#include "mvee/util/park.h"
 #include "mvee/util/rng.h"
 #include "mvee/util/spsc_ring.h"
 #include "mvee/util/stats.h"
@@ -588,6 +590,55 @@ TEST(LogHistogramTest, EmptyAndClampedEdges) {
   // bounds.
   histogram.Record(~0ull);
   EXPECT_EQ(histogram.Max(), LogHistogram::kMaxTrackable);
+}
+
+// Lost-wakeup stress: two threads hand a turn back and forth through one
+// ParkingSpot. Each waits with a short busy spin of varying length, then
+// parks, so one thread often answers while the other is still inside
+// BeginPark — the window in which a missing store-load barrier on either
+// side loses a wakeup. Slices are long, so a lost wakeup shows up as a wait
+// lasting the whole slice, not as slice-granularity polling.
+TEST(ParkingSpotStressTest, PingPongLosesNoWakeup) {
+  ParkingSpot spot;
+  constexpr uint64_t kHandoffs = 20000;
+  constexpr auto kSlice = std::chrono::seconds(4);
+  std::atomic<uint64_t> turn{0};
+  std::atomic<uint64_t> parks{0};
+  std::atomic<int64_t> worst_wait_us{0};
+  auto player = [&](uint64_t parity) {
+    for (uint64_t mine = parity; mine < kHandoffs; mine += 2) {
+      const auto start = std::chrono::steady_clock::now();
+      const uint64_t spin_budget = (mine * 37) % 512;
+      for (uint64_t spins = 0; turn.load(std::memory_order_acquire) != mine; ++spins) {
+        if (spins < spin_budget) {
+          continue;
+        }
+        parks.fetch_add(1, std::memory_order_relaxed);
+        spot.BeginPark();
+        const uint64_t ticket = spot.Ticket();
+        if (turn.load(std::memory_order_acquire) != mine) {
+          spot.WaitTicket(ticket, kSlice);
+        }
+        spot.EndPark();
+      }
+      const int64_t waited = std::chrono::duration_cast<std::chrono::microseconds>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      int64_t worst = worst_wait_us.load(std::memory_order_relaxed);
+      while (waited > worst && !worst_wait_us.compare_exchange_weak(worst, waited)) {
+      }
+      turn.store(mine + 1, std::memory_order_release);
+      spot.WakeParked();
+    }
+  };
+  std::thread even(player, 0);
+  std::thread odd(player, 1);
+  even.join();
+  odd.join();
+  EXPECT_EQ(turn.load(), kHandoffs);
+  EXPECT_GT(parks.load(), 0u);
+  // A handoff takes microseconds; only a lost wakeup waits out the 4 s slice.
+  EXPECT_LT(worst_wait_us.load(), 2'000'000) << "a wakeup was lost";
 }
 
 }  // namespace
