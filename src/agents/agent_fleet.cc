@@ -206,19 +206,11 @@ void AgentFleet::DetachVariant(uint32_t variant) {
 
 AgentStatsSnapshot AgentFleet::StatsSnapshot() const {
   AgentStatsSnapshot total;
-  auto add = [&total](const AgentStats& stats) {
-    const AgentStatsSnapshot part = stats.Aggregate();
-    total.ops_recorded += part.ops_recorded;
-    total.ops_replayed += part.ops_replayed;
-    total.record_stalls += part.record_stalls;
-    total.replay_stalls += part.replay_stalls;
-    total.record_lock_spins += part.record_lock_spins;
-  };
   if (map_ != nullptr) {
-    add(total_order_->stats());
-    add(partial_order_->stats());
-    add(wall_of_clocks_->stats());
-    add(per_variable_->stats());
+    total += total_order_->stats().Aggregate();
+    total += partial_order_->stats().Aggregate();
+    total += wall_of_clocks_->stats().Aggregate();
+    total += per_variable_->stats().Aggregate();
   }
   return total;
 }

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "mvee/agents/partial_order.h"
-#include "mvee/agents/per_variable.h"
 #include "mvee/agents/sync_agent.h"
 #include "mvee/agents/total_order.h"
 #include "mvee/agents/variable_map.h"

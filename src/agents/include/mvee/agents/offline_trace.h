@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mvee/agents/sync_agent.h"
+#include "mvee/agents/wall_of_clocks.h"
 
 namespace mvee {
 
@@ -72,9 +73,8 @@ class OfflineRecorderAgent final : public SyncAgent {
     uint64_t time = 0;
   };
 
-  uint32_t ClockOf(const void* addr) const;
-
   std::unique_ptr<SyncTrace> trace_;
+  HashedClockMap map_;  // The WoC wall's address→clock map.
   std::vector<Clock> clocks_;
   std::mutex append_mutex_;
   struct Pending {
@@ -86,7 +86,10 @@ class OfflineRecorderAgent final : public SyncAgent {
 
 // Slave-role agent that replays a SyncTrace in a later run of the same
 // program: thread t's k-th sync op waits until the local clock named by the
-// trace's k-th event reaches the recorded time.
+// trace's k-th event reaches the recorded time. The wait ends like an online
+// slave's: on the abort flag, or after AgentConfig's default replay deadline
+// with an on_stall report (a replayed thread that skips an op another
+// thread's event waits on would otherwise park that thread forever).
 class OfflineReplayAgent final : public SyncAgent {
  public:
   explicit OfflineReplayAgent(const SyncTrace* trace, AgentControl control = {});

@@ -103,7 +103,6 @@ class PartialOrderRuntime {
     // po_window gate. Marked by the replaying thread in AfterSyncOp (one
     // release store); folded by whoever waits on it.
     std::unique_ptr<PrefixWatermark> replay_mark;
-    size_t consumer_id = 0;  // variant - 1
   };
 
   // po_window gate (master side, pre-Acquire): the paper's lookahead window,
@@ -133,8 +132,7 @@ class PartialOrderRuntime {
 
 class PartialOrderAgent final : public SyncAgent {
  public:
-  PartialOrderAgent(PartialOrderRuntime* runtime, AgentRole role,
-                    PartialOrderRuntime::SlaveState* slave);
+  PartialOrderAgent(PartialOrderRuntime* runtime, uint32_t variant);
 
   void BeforeSyncOp(uint32_t tid, const void* addr) override;
   void AfterSyncOp(uint32_t tid, const void* addr) override;
@@ -144,9 +142,8 @@ class PartialOrderAgent final : public SyncAgent {
  private:
   PartialOrderRuntime* const runtime_;
   const AgentRole role_;
-  PartialOrderRuntime::SlaveState* const slave_;
-  // Stats shard key: 0 for the master, consumer id + 1 for slaves.
-  const uint32_t stats_variant_;
+  const uint32_t variant_;  // Slaves consume their rings with id variant - 1.
+  PartialOrderRuntime::SlaveState* const slave_;  // nullptr for the master.
   struct Pending {
     // Replay: ticket sequence of the entry this thread matched in
     // BeforeSyncOp, consumed in AfterSyncOp.

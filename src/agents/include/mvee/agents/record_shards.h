@@ -1,10 +1,11 @@
 // Shared machinery of the agents' recording paths (docs/DESIGN.md §8): the
 // per-sync-variable shard locks and global ticket counter of the TO/PO
 // master path, the lazily-created per-master-thread recording rings every
-// runtime records into, and the record-with-backpressure push. The runtimes
-// instantiate this rather than carrying private copies, so a change to the
-// lock/ticket/push sequence — whose memory ordering the §8 soundness
-// argument depends on — cannot silently diverge between agents.
+// runtime records into, and the record-with-backpressure push every master
+// ends its op with. The runtimes instantiate this rather than carrying
+// private copies, so a change to the lock/ticket/push sequence — whose
+// memory ordering the §8 soundness argument depends on — cannot silently
+// diverge between agents.
 
 #ifndef MVEE_AGENTS_RECORD_SHARDS_H_
 #define MVEE_AGENTS_RECORD_SHARDS_H_
@@ -60,7 +61,7 @@ class TicketedRecordShards {
   // Spins until the addr's shard lock is held (throws VariantKilled on
   // abort) and accounts contended spins into stats.record_lock_spins. The
   // caller holds the lock across (op + ticket + push) and releases through
-  // Shard::Release (usually via RecordIntoRing).
+  // Shard::Release.
   Shard& Acquire(const void* addr, const AgentControl& control, AgentStats::Shard& stats) {
     Shard& shard = shards_[IndexOf(addr)];
     SpinWait waiter;
@@ -173,27 +174,30 @@ class LazyRingSet {
   std::atomic<uint64_t> created_{0};
 };
 
-// The tail of a TO/PO master's AfterSyncOp: push the stamped entry into
-// the thread's own ring (spinning while the slowest slave variant gates the
-// slot), bump ops_recorded, release the shard. The push stays inside the
-// shard lock — that chains ring publications of conflicting ops, the
-// visibility half of the §8 argument.
-template <typename Shard, typename Entry>
-void RecordIntoRing(BroadcastRing<Entry>& ring, const Entry& entry, Shard& shard,
+// Every master's record push: push the stamped entry into the thread's own
+// ring (spinning while the slowest slave variant gates the slot) and bump
+// ops_recorded. TO/PO push inside the shard lock — that chains ring
+// publications of conflicting ops, the visibility half of the §8 argument —
+// so they pass the lock as `held`, which an abort releases before
+// unwinding (on success the caller releases it). The clock runtime pushes
+// after its clock unlock and passes nullptr.
+template <typename Entry>
+void RecordIntoRing(BroadcastRing<Entry>& ring, const Entry& entry, std::atomic_flag* held,
                     const AgentControl& control, AgentStats::Shard& stats) {
   if (!ring.TryPush(entry)) {
     stats.record_stalls.Add();
     SpinWait waiter;
     while (!ring.TryPush(entry)) {
       if (control.aborted()) {
-        shard.Release();
+        if (held != nullptr) {
+          held->clear(std::memory_order_release);
+        }
         throw VariantKilled{};
       }
       waiter.Pause();
     }
   }
   stats.ops_recorded.Add();
-  shard.Release();
 }
 
 }  // namespace mvee

@@ -49,6 +49,15 @@ struct AgentStatsSnapshot {
   uint64_t record_stalls = 0;     // producer blocked on full buffer
   uint64_t replay_stalls = 0;     // slave blocked waiting its turn
   uint64_t record_lock_spins = 0; // TO/PO master spun on a record shard lock
+
+  AgentStatsSnapshot& operator+=(const AgentStatsSnapshot& other) {
+    ops_recorded += other.ops_recorded;
+    ops_replayed += other.ops_replayed;
+    record_stalls += other.record_stalls;
+    replay_stalls += other.replay_stalls;
+    record_lock_spins += other.record_lock_spins;
+    return *this;
+  }
 };
 
 // Shared configuration for agent runtimes.
@@ -188,11 +197,9 @@ class AgentStats {
   AgentStatsSnapshot Aggregate() const {
     AgentStatsSnapshot total;
     for (const Shard& shard : shards_) {
-      total.ops_recorded += shard.ops_recorded.Load();
-      total.ops_replayed += shard.ops_replayed.Load();
-      total.record_stalls += shard.record_stalls.Load();
-      total.replay_stalls += shard.replay_stalls.Load();
-      total.record_lock_spins += shard.record_lock_spins.Load();
+      total += AgentStatsSnapshot{shard.ops_recorded.Load(), shard.ops_replayed.Load(),
+                                  shard.record_stalls.Load(), shard.replay_stalls.Load(),
+                                  shard.record_lock_spins.Load()};
     }
     return total;
   }

@@ -77,7 +77,7 @@ class TotalOrderRuntime {
 
 class TotalOrderAgent final : public SyncAgent {
  public:
-  TotalOrderAgent(TotalOrderRuntime* runtime, AgentRole role, size_t consumer_id);
+  TotalOrderAgent(TotalOrderRuntime* runtime, uint32_t variant);
 
   void BeforeSyncOp(uint32_t tid, const void* addr) override;
   void AfterSyncOp(uint32_t tid, const void* addr) override;
@@ -87,9 +87,7 @@ class TotalOrderAgent final : public SyncAgent {
  private:
   TotalOrderRuntime* const runtime_;
   const AgentRole role_;
-  const size_t consumer_id_;  // variant - 1 (slaves only)
-  // Stats shard key: 0 for the master, consumer id + 1 for slaves.
-  const uint32_t stats_variant_;
+  const uint32_t variant_;  // Slaves consume their rings with id variant - 1.
   struct Pending {
     // Replay: sequence matched in BeforeSyncOp, ratcheted past in
     // AfterSyncOp.

@@ -1,9 +1,9 @@
 #include "mvee/agents/offline_trace.h"
 
-#include <chrono>
 #include <cstring>
+#include <string>
 
-#include "mvee/util/hash.h"
+#include "mvee/agents/replay_wait.h"
 #include "mvee/util/spin.h"
 #include "mvee/util/variant_killed.h"
 
@@ -98,18 +98,14 @@ std::unique_ptr<SyncTrace> SyncTrace::Deserialize(const std::vector<uint8_t>& by
 
 OfflineRecorderAgent::OfflineRecorderAgent(uint32_t max_threads, size_t clock_count)
     : trace_(std::make_unique<SyncTrace>(max_threads, clock_count)),
+      map_(clock_count),
       clocks_(clock_count),
       pending_(max_threads) {}
 
 OfflineRecorderAgent::~OfflineRecorderAgent() = default;
 
-uint32_t OfflineRecorderAgent::ClockOf(const void* addr) const {
-  return static_cast<uint32_t>(ClockAddressHash(reinterpret_cast<uint64_t>(addr)) %
-                               clocks_.size());
-}
-
 void OfflineRecorderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
-  const uint32_t clock_id = ClockOf(addr);
+  const uint32_t clock_id = map_.ClockOf(addr);
   auto& clock = clocks_[clock_id];
   SpinWait waiter;
   while (clock.lock.test_and_set(std::memory_order_acquire)) {
@@ -156,13 +152,16 @@ void OfflineReplayAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   }
   const SyncTrace::Event event = events[index];
   auto& local_clock = clocks_[event.clock_id].time;
-  SpinWait waiter;
-  while (local_clock.load(std::memory_order_acquire) != event.time) {
-    if (control_.aborted()) {
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
+  // No MVEE variant and no stats: variant 0 is never excised, so only the
+  // abort flag or the deadline ends the wait.
+  ReplayWait wait(control_, /*variant=*/0, AgentConfig{}.replay_deadline, /*stats=*/nullptr,
+                  name(), tid);
+  wait.Until([&] { return local_clock.load(std::memory_order_acquire) == event.time; },
+             [&] {
+               return "clock " + std::to_string(event.clock_id) + " stuck at " +
+                      std::to_string(local_clock.load()) + ", want " +
+                      std::to_string(event.time);
+             });
   pending_[tid] = event;
 }
 

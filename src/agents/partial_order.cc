@@ -1,8 +1,8 @@
 #include "mvee/agents/partial_order.h"
 
-#include <chrono>
 #include <string>
 
+#include "mvee/agents/replay_wait.h"
 #include "mvee/util/spin.h"
 #include "mvee/util/variant_killed.h"
 
@@ -22,7 +22,6 @@ PartialOrderRuntime::PartialOrderRuntime(const AgentConfig& config, AgentControl
     // precedes the ticket draw), so every live mark fits.
     slave->replay_mark =
         std::make_unique<PrefixWatermark>(config_.po_window + config_.max_threads + 1);
-    slave->consumer_id = v - 1;
     slaves_.push_back(std::move(slave));
   }
 }
@@ -98,19 +97,14 @@ void PartialOrderRuntime::GateOnReplayWindow(AgentStats::Shard& stats) {
 }
 
 std::unique_ptr<SyncAgent> PartialOrderRuntime::CreateAgent(uint32_t variant_index) {
-  if (variant_index == 0) {
-    return std::make_unique<PartialOrderAgent>(this, AgentRole::kMaster, nullptr);
-  }
-  return std::make_unique<PartialOrderAgent>(this, AgentRole::kSlave,
-                                             slaves_[variant_index - 1].get());
+  return std::make_unique<PartialOrderAgent>(this, variant_index);
 }
 
-PartialOrderAgent::PartialOrderAgent(PartialOrderRuntime* runtime, AgentRole role,
-                                     PartialOrderRuntime::SlaveState* slave)
+PartialOrderAgent::PartialOrderAgent(PartialOrderRuntime* runtime, uint32_t variant)
     : runtime_(runtime),
-      role_(role),
-      slave_(slave),
-      stats_variant_(slave == nullptr ? 0 : static_cast<uint32_t>(slave->consumer_id) + 1),
+      role_(variant == 0 ? AgentRole::kMaster : AgentRole::kSlave),
+      variant_(variant),
+      slave_(variant == 0 ? nullptr : runtime->slaves_[variant - 1].get()),
       pending_(runtime->config_.max_threads) {}
 
 void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
@@ -121,45 +115,24 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   if (role_ == AgentRole::kMaster) {
     // Window gate BEFORE the shard lock: a gated master must not stall
     // while holding a shard other replaying-adjacent masters need.
-    runtime_->GateOnReplayWindow(runtime_->stats_.shard(stats_variant_, tid));
+    runtime_->GateOnReplayWindow(runtime_->stats_.shard(variant_, tid));
     // Per-variable shard lock held across (op + ticket + push): see the
     // total-order agent and docs/DESIGN.md §8 for the ordering argument.
     pending_[tid].shard = &runtime_->record_shards_.Acquire(
-        addr, runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
+        addr, runtime_->control_, runtime_->stats_.shard(variant_, tid));
     return;
   }
-
-  DeadlineGate deadline(runtime_->config_.replay_deadline);
-  SpinWait waiter;
-  bool stalled = false;
-
-  auto check_deadline = [&](const char* phase) {
-    if (runtime_->control_.should_unwind(stats_variant_)) {
-      throw VariantKilled{};
-    }
-    if (deadline.Expired(waiter)) {
-      if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall(std::string("partial-order replay deadline (") + phase +
-                                    ", tid " + std::to_string(tid) + ")");
-      }
-      throw VariantKilled{};
-    }
-  };
 
   // Replay (docs/DESIGN.md §8). Step 1: this thread's next entry
   // is its own ring's front — master thread t produced exactly thread t's
   // entries, in program order, so no window scan is needed to find it.
   auto& ring = runtime_->thread_rings_.Get(tid);
-  const size_t consumer = slave_->consumer_id;
+  const size_t consumer = variant_ - 1;
+  ReplayWait wait(runtime_->control_, variant_, runtime_->config_.replay_deadline,
+                  &runtime_->stats_, name(), tid);
   PartialOrderRuntime::Entry mine;
-  while (!ring.Peek(consumer, 0, &mine)) {
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-    }
-    check_deadline("front");
-    waiter.Pause();
-  }
+  wait.Until([&] { return ring.Peek(consumer, 0, &mine); },
+             [] { return std::string("no entry"); });
 
   pending_[tid].seq = mine.seq;
 
@@ -179,15 +152,11 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     return;
   }
   auto& prev_mark = slave_->consumed_through[mine.prev_tid].next;
-  waiter.Reset();
-  while (prev_mark.load(std::memory_order_acquire) <= mine.prev_seq) {
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-    }
-    check_deadline("dependence");
-    waiter.Pause();
-  }
+  wait.Until([&] { return prev_mark.load(std::memory_order_acquire) > mine.prev_seq; },
+             [&] {
+               return "seq " + std::to_string(mine.seq) + " waiting on thread " +
+                      std::to_string(mine.prev_tid) + "'s seq " + std::to_string(mine.prev_seq);
+             });
 }
 
 void PartialOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {
@@ -205,19 +174,20 @@ void PartialOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {
     entry.prev_tid = shard.extra.last_tid;
     shard.extra.last_seq = entry.seq;
     shard.extra.last_tid = tid;
-    RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, shard, runtime_->control_,
-                   runtime_->stats_.shard(stats_variant_, tid));
+    RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, &shard.lock, runtime_->control_,
+                   runtime_->stats_.shard(variant_, tid));
+    shard.Release();
     return;
   }
 
-  runtime_->thread_rings_.Get(tid).Advance(slave_->consumer_id);
+  runtime_->thread_rings_.Get(tid).Advance(variant_ - 1);
   // The release publishes this op's effects to whichever thread acquires
   // the watermark in its dependence wait.
   slave_->consumed_through[tid].next.store(pending_[tid].seq + 1, std::memory_order_release);
   // Feed the master's po_window gate: one release store; the gated master
   // folds the prefix itself (watermark.h).
   slave_->replay_mark->Mark(pending_[tid].seq);
-  runtime_->stats_.shard(stats_variant_, tid).ops_replayed.Add();
+  runtime_->stats_.shard(variant_, tid).ops_replayed.Add();
 }
 
 }  // namespace mvee

@@ -1,10 +1,8 @@
 #include "mvee/agents/total_order.h"
 
-#include <chrono>
 #include <string>
 
-#include "mvee/util/spin.h"
-#include "mvee/util/variant_killed.h"
+#include "mvee/agents/replay_wait.h"
 
 namespace mvee {
 
@@ -25,18 +23,13 @@ void TotalOrderRuntime::DetachVariant(uint32_t variant) {
 }
 
 std::unique_ptr<SyncAgent> TotalOrderRuntime::CreateAgent(uint32_t variant_index) {
-  if (variant_index == 0) {
-    return std::make_unique<TotalOrderAgent>(this, AgentRole::kMaster, 0);
-  }
-  return std::make_unique<TotalOrderAgent>(this, AgentRole::kSlave, variant_index - 1);
+  return std::make_unique<TotalOrderAgent>(this, variant_index);
 }
 
-TotalOrderAgent::TotalOrderAgent(TotalOrderRuntime* runtime, AgentRole role, size_t consumer_id)
+TotalOrderAgent::TotalOrderAgent(TotalOrderRuntime* runtime, uint32_t variant)
     : runtime_(runtime),
-      role_(role),
-      consumer_id_(consumer_id),
-      stats_variant_(role == AgentRole::kMaster ? 0
-                                                : static_cast<uint32_t>(consumer_id) + 1),
+      role_(variant == 0 ? AgentRole::kMaster : AgentRole::kSlave),
+      variant_(variant),
       pending_(runtime->config_.max_threads) {}
 
 void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
@@ -51,13 +44,9 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     // the slaves need (docs/DESIGN.md §8). Independent ops proceed in
     // parallel; no global master lock sits on the hot path.
     pending_[tid].shard = &runtime_->record_shards_.Acquire(
-        addr, runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
+        addr, runtime_->control_, runtime_->stats_.shard(variant_, tid));
     return;
   }
-
-  DeadlineGate deadline(runtime_->config_.replay_deadline);
-  SpinWait waiter;
-  bool stalled = false;
 
   // Slave merge (docs/DESIGN.md §8): thread t's next op is its own ring's
   // front (master thread t produced exactly this thread's entries, in
@@ -65,45 +54,18 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   // whose global sequence is next. Together the per-thread fronts plus
   // the ratchet ARE the deterministic merge of the per-thread rings.
   auto& ring = runtime_->thread_rings_.Get(tid);
+  const size_t consumer = variant_ - 1;
+  ReplayWait wait(runtime_->control_, variant_, runtime_->config_.replay_deadline,
+                  &runtime_->stats_, name(), tid);
   TotalOrderRuntime::Entry entry;
-  while (!ring.Peek(consumer_id_, 0, &entry)) {
-    if (runtime_->control_.should_unwind(stats_variant_)) {
-      throw VariantKilled{};
-    }
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-    }
-    if (deadline.Expired(waiter)) {
-      if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall("total-order replay deadline (no entry, tid " +
-                                    std::to_string(tid) + ")");
-      }
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
-  auto& front = runtime_->replay_fronts_[consumer_id_].next_seq;
-  waiter.Reset();
-  while (front.load(std::memory_order_acquire) != entry.seq) {
-    if (runtime_->control_.should_unwind(stats_variant_)) {
-      throw VariantKilled{};
-    }
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.Add();
-    }
-    if (deadline.Expired(waiter)) {
-      if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall("total-order replay deadline (seq " +
-                                    std::to_string(entry.seq) + " waiting on " +
-                                    std::to_string(front.load()) + ", tid " +
-                                    std::to_string(tid) + ")");
-      }
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
+  wait.Until([&] { return ring.Peek(consumer, 0, &entry); },
+             [] { return std::string("no entry"); });
+  auto& front = runtime_->replay_fronts_[consumer].next_seq;
+  wait.Until([&] { return front.load(std::memory_order_acquire) == entry.seq; },
+             [&] {
+               return "seq " + std::to_string(entry.seq) + " waiting on " +
+                      std::to_string(front.load());
+             });
   pending_[tid].seq = entry.seq;
 }
 
@@ -118,18 +80,21 @@ void TotalOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {
     // chains ring publications of conflicting ops, so a slave that sees a
     // later conflicting entry is guaranteed to also see every earlier one
     // (the §8 visibility argument the PO dependence wait relies on).
+    auto& shard = *pending_[tid].shard;
     const TotalOrderRuntime::Entry entry{runtime_->record_shards_.DrawTicket()};
-    RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, *pending_[tid].shard,
-                   runtime_->control_, runtime_->stats_.shard(stats_variant_, tid));
+    RecordIntoRing(runtime_->thread_rings_.Get(tid), entry, &shard.lock, runtime_->control_,
+                   runtime_->stats_.shard(variant_, tid));
+    shard.Release();
     return;
   }
 
-  runtime_->thread_rings_.Get(tid).Advance(consumer_id_);
+  const size_t consumer = variant_ - 1;
+  runtime_->thread_rings_.Get(tid).Advance(consumer);
   // Release the ratchet: hands this op's effects to whichever thread owns
   // the next sequence (its acquire load in BeforeSyncOp pairs with this).
-  runtime_->replay_fronts_[consumer_id_].next_seq.store(pending_[tid].seq + 1,
-                                                        std::memory_order_release);
-  runtime_->stats_.shard(stats_variant_, tid).ops_replayed.Add();
+  runtime_->replay_fronts_[consumer].next_seq.store(pending_[tid].seq + 1,
+                                                    std::memory_order_release);
+  runtime_->stats_.shard(variant_, tid).ops_replayed.Add();
 }
 
 }  // namespace mvee

@@ -141,19 +141,6 @@ class BroadcastRing {
     cursor.store(cursor.load(std::memory_order_relaxed) + 1, std::memory_order_release);
   }
 
-  // Reads the element at absolute sequence `seq` if it has been produced,
-  // gating through `consumer`'s cached write cursor so a hit stays on the
-  // consumer's own cache line. The caller must guarantee `seq` has not been
-  // retired (i.e. seq >= the minimum consumer cursor); within that window
-  // slots are stable. Used by TicketedRingMerge's dependence scan.
-  bool TryRead(size_t consumer, uint64_t seq, T* out) const {
-    if (seq >= VisibleWriteCursor(consumer, seq)) {
-      return false;
-    }
-    ReadSlot(seq, out);
-    return true;
-  }
-
   // Sequence of the next element `consumer` would pop.
   uint64_t ReadCursor(size_t consumer) const {
     return cursors_[consumer].read.load(std::memory_order_relaxed);
@@ -193,11 +180,10 @@ class BroadcastRing {
     std::atomic<bool> detached{false};
   };
 
-  // Slots hold T as relaxed atomic words. Readers that share a consumer id,
-  // and TicketedRingMerge's dependence scan, may read a slot while the
-  // producer reuses it; they validate the copy against the cursors (or poll
-  // again), and the word-wise atomic copy keeps that read free of a data
-  // race. A relaxed word access compiles to a plain move on x86. Publication
+  // Slots hold T as relaxed atomic words. Readers that share a consumer id
+  // may read a slot while the producer reuses it; they validate the copy
+  // against the cursor (see Peek), and the word-wise atomic copy keeps that
+  // read free of a data race. A relaxed word access compiles to a plain move on x86. Publication
   // still rides the write cursor's release/acquire.
   static_assert(std::is_trivially_copyable_v<T>);
   static constexpr size_t kSlotWords = (sizeof(T) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
@@ -287,84 +273,6 @@ class BroadcastRing {
   uint64_t free_until_ = 0;  // first sequence the cached gate would reject
   ConsumerCursor cursors_[kMaxConsumers];
   size_t consumer_count_ = 0;
-};
-
-// Deterministic merge over per-thread ticketed rings — the REFERENCE MODEL
-// of the TO/PO recording protocol (docs/DESIGN.md §8), exercised by
-// util_test. The production agents specialize it rather than call it: the
-// TO slave distributes TryPopNext into own-ring fronts plus a next_seq
-// ratchet, and the PO slave replaces AnyUnconsumedBelow with recorded
-// (prev_tid, prev_seq) edges checked against per-thread consumed
-// watermarks (cross-thread slot reads race slot recycling — see
-// partial_order.h). Keep this class in sync with docs/DESIGN.md §8 when the
-// protocol changes.
-//
-// The TO/PO masters record into one ring per master thread; every
-// entry carries a global sequence number drawn from a single fetch_add
-// ticket counter, so the union of the rings is a dense sequence 0,1,2,...
-// Slaves reconstruct the recorded order by merging the rings on those
-// sequences. Two properties make the merge cheap:
-//   - within one ring, sequences are strictly increasing (one master thread
-//     drew its tickets in program order), so per-ring scans stop at the
-//     first too-large sequence;
-//   - the globally-next sequence is always at some ring's front, so the
-//     strict merge never looks past the fronts.
-// `seq_of` extracts the sequence from an entry. Single merging thread per
-// consumer id; concurrent use against rings whose cursors other threads
-// advance inherits the recycling caveat above.
-template <typename T>
-class TicketedRingMerge {
- public:
-  TicketedRingMerge(BroadcastRing<T>* const* rings, size_t ring_count, size_t consumer)
-      : rings_(rings), ring_count_(ring_count), consumer_(consumer) {}
-
-  // Strict merge step: pops the entry with global sequence `seq` if it has
-  // been published (it can only be at a ring front — sequences are dense and
-  // every smaller one has been popped). Returns false when the producing
-  // thread has not pushed it yet. Single merging thread per consumer id.
-  template <typename SeqFn>
-  bool TryPopNext(uint64_t seq, SeqFn&& seq_of, T* out) {
-    for (size_t r = 0; r < ring_count_; ++r) {
-      T front;
-      if (rings_[r]->Peek(consumer_, 0, &front) && seq_of(front) == seq) {
-        rings_[r]->Advance(consumer_);
-        *out = front;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Dependence scan (the partial-order slave's lookahead): true if any
-  // unconsumed entry with sequence < `limit` matches `pred`. Entries below a
-  // ring's cursor have been replayed; entries at/after it have not. May
-  // report a spurious match if a cursor advances mid-scan (the slot being
-  // read was retired); callers poll, so the stale answer washes out on the
-  // next pass.
-  template <typename SeqFn, typename PredFn>
-  bool AnyUnconsumedBelow(uint64_t limit, SeqFn&& seq_of, PredFn&& pred) const {
-    for (size_t r = 0; r < ring_count_; ++r) {
-      const BroadcastRing<T>& ring = *rings_[r];
-      for (uint64_t index = ring.ReadCursor(consumer_);; ++index) {
-        T entry;
-        if (!ring.TryRead(consumer_, index, &entry)) {
-          break;  // Nothing more published in this ring.
-        }
-        if (seq_of(entry) >= limit) {
-          break;  // Sequences in one ring only grow.
-        }
-        if (pred(entry)) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  BroadcastRing<T>* const* rings_;
-  size_t ring_count_;
-  size_t consumer_;
 };
 
 }  // namespace mvee

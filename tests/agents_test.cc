@@ -341,74 +341,163 @@ TEST(AgentReplayTest, TicketedTotalOrderSurvivesConstantRingWrap) {
   EXPECT_GT(stats.record_stalls, 0u);
 }
 
-TEST(AgentAbortTest, AbortFlagReleasesStalledSlave) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.max_threads = 1;
-  config.replay_deadline = std::chrono::milliseconds(60000);
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  AgentFleet fleet(AgentKind::kWallOfClocks, config, control);
-  auto slave = fleet.CreateAgent(1);
+// --- The shared replay wait (replay_wait.h), for every recording kind ---
 
-  std::atomic<bool> killed{false};
-  std::thread stalled([&] {
-    int dummy = 0;
-    try {
-      // No master recording: the slave has nothing to replay and must stall.
-      slave->BeforeSyncOp(0, &dummy);
-    } catch (const VariantKilled&) {
-      killed.store(true);
+constexpr AgentKind kRecordingKinds[] = {AgentKind::kTotalOrder, AgentKind::kPartialOrder,
+                                         AgentKind::kWallOfClocks, AgentKind::kPerVariableOrder};
+
+// A two-variant, two-thread fleet whose control keeps the last on_stall
+// report and carries a live-variant mask.
+struct ReplayWaitRig {
+  ReplayWaitRig(AgentKind kind, std::chrono::milliseconds deadline) {
+    AgentConfig config;
+    config.num_variants = 2;
+    config.max_threads = 2;
+    config.replay_deadline = deadline;
+    control.abort_flag = &abort;
+    control.live_mask = &live_mask;
+    control.on_stall = [this](const std::string& message) { report = message; };
+    fleet = std::make_unique<AgentFleet>(kind, config, control);
+    master = fleet->CreateAgent(0);
+    slave = fleet->CreateAgent(1);
+  }
+
+  // Master threads 0 and then 1 record one op each on `var`, so thread 1's
+  // entry waits on thread 0's replay: a clock time, a sequence or a
+  // predecessor, depending on the kind.
+  void RecordThreadsZeroThenOne(const void* var) {
+    for (uint32_t tid : {0u, 1u}) {
+      master->BeforeSyncOp(tid, var);
+      master->AfterSyncOp(tid, var);
     }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(killed.load());
-  abort.store(true);
-  stalled.join();
-  EXPECT_TRUE(killed.load());
+  }
+
+  std::atomic<bool> abort{false};
+  std::atomic<uint32_t> live_mask{0b11};
+  AgentControl control;
+  std::string report;
+  std::unique_ptr<AgentFleet> fleet;
+  std::unique_ptr<SyncAgent> master;
+  std::unique_ptr<SyncAgent> slave;
+};
+
+TEST(AgentAbortTest, AbortFlagReleasesStalledSlave) {
+  for (AgentKind kind : kRecordingKinds) {
+    HardTimeout timeout(std::chrono::seconds(30), "AbortFlagReleasesStalledSlave");
+    ReplayWaitRig rig(kind, std::chrono::milliseconds(60000));
+    std::atomic<bool> killed{false};
+    std::thread stalled([&] {
+      int dummy = 0;
+      try {
+        // No master recording: the slave has nothing to replay and must stall.
+        rig.slave->BeforeSyncOp(0, &dummy);
+      } catch (const VariantKilled&) {
+        killed.store(true);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(killed.load()) << AgentKindName(kind);
+    rig.abort.store(true);
+    stalled.join();
+    EXPECT_TRUE(killed.load()) << AgentKindName(kind);
+  }
+}
+
+// Excision: clearing the variant's live_mask bit unwinds a slave parked on
+// an entry's turn, without a stall report.
+TEST(AgentAbortTest, ClearedLiveMaskBitUnwindsParkedSlave) {
+  for (AgentKind kind : kRecordingKinds) {
+    HardTimeout timeout(std::chrono::seconds(30), "ClearedLiveMaskBitUnwindsParkedSlave");
+    ReplayWaitRig rig(kind, std::chrono::milliseconds(60000));
+    int var = 0;
+    rig.RecordThreadsZeroThenOne(&var);
+    std::atomic<bool> killed{false};
+    std::thread parked([&] {
+      try {
+        rig.slave->BeforeSyncOp(1, &var);
+      } catch (const VariantKilled&) {
+        killed.store(true);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(killed.load()) << AgentKindName(kind);
+    rig.live_mask.fetch_and(~(uint32_t{1} << 1));
+    parked.join();
+    EXPECT_TRUE(killed.load()) << AgentKindName(kind);
+    EXPECT_EQ(rig.report, "") << AgentKindName(kind);
+  }
 }
 
 TEST(AgentStallTest, ReplayDeadlineReportsStall) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.max_threads = 1;
-  config.replay_deadline = std::chrono::milliseconds(100);
-  std::atomic<bool> abort{false};
-  std::atomic<bool> stall_reported{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  control.on_stall = [&](const std::string&) { stall_reported.store(true); };
-  AgentFleet fleet(AgentKind::kTotalOrder, config, control);
-  auto slave = fleet.CreateAgent(1);
+  for (AgentKind kind : kRecordingKinds) {
+    ReplayWaitRig rig(kind, std::chrono::milliseconds(100));
+    int dummy = 0;
+    EXPECT_THROW(rig.slave->BeforeSyncOp(0, &dummy), VariantKilled) << AgentKindName(kind);
+    EXPECT_NE(rig.report.find("no entry"), std::string::npos) << rig.report;
+  }
+}
 
-  int dummy = 0;
-  EXPECT_THROW(slave->BeforeSyncOp(0, &dummy), VariantKilled);
-  EXPECT_TRUE(stall_reported.load());
+// An entry is present, but its turn never comes: thread 0 never replays the
+// op thread 1's entry waits on.
+TEST(AgentStallTest, SecondPhaseDeadlineReportsAwaitedTurn) {
+  for (AgentKind kind : kRecordingKinds) {
+    ReplayWaitRig rig(kind, std::chrono::milliseconds(100));
+    int var = 0;
+    rig.RecordThreadsZeroThenOne(&var);
+    EXPECT_THROW(rig.slave->BeforeSyncOp(1, &var), VariantKilled) << AgentKindName(kind);
+    EXPECT_NE(rig.report.find("tid 1)"), std::string::npos) << rig.report;
+    EXPECT_EQ(rig.report.find("no entry"), std::string::npos) << rig.report;
+    EXPECT_EQ(rig.fleet->StatsSnapshot().replay_stalls, 1u) << AgentKindName(kind);
+  }
+}
+
+TEST(AgentStallTest, StallReportNamesKind) {
+  for (AgentKind kind : kRecordingKinds) {
+    ReplayWaitRig rig(kind, std::chrono::milliseconds(100));
+    int dummy = 0;
+    EXPECT_THROW(rig.slave->BeforeSyncOp(0, &dummy), VariantKilled);
+    EXPECT_EQ(rig.report.rfind(std::string(AgentKindName(kind)) + " replay deadline (", 0), 0u)
+        << rig.report;
+  }
+}
+
+// One op that waits in both phases — first for its entry, then for its
+// turn — counts one replay stall.
+TEST(AgentStallTest, StallCountedOncePerOpAcrossPhases) {
+  for (AgentKind kind : kRecordingKinds) {
+    HardTimeout timeout(std::chrono::seconds(30), "StallCountedOncePerOpAcrossPhases");
+    ReplayWaitRig rig(kind, std::chrono::milliseconds(20000));
+    int var = 0;
+    std::thread second([&] {
+      rig.slave->BeforeSyncOp(1, &var);
+      rig.slave->AfterSyncOp(1, &var);
+    });
+    while (rig.fleet->StatsSnapshot().replay_stalls == 0) {
+      std::this_thread::yield();  // Thread 1 waits for its entry.
+    }
+    rig.RecordThreadsZeroThenOne(&var);
+    // Thread 1 now has its entry and waits for thread 0's replay.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    rig.slave->BeforeSyncOp(0, &var);
+    rig.slave->AfterSyncOp(0, &var);
+    second.join();
+    const AgentStatsSnapshot stats = rig.fleet->StatsSnapshot();
+    EXPECT_EQ(stats.ops_replayed, 2u) << AgentKindName(kind);
+    EXPECT_EQ(stats.replay_stalls, 1u) << AgentKindName(kind);
+  }
 }
 
 TEST(WallOfClocksTest, AdjacentWordsShareAClock) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.clock_count = 4096;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  WallOfClocksRuntime runtime(config, control);
+  HashedClockMap map(4096);
   alignas(8) int32_t words[2] = {0, 0};
-  EXPECT_EQ(runtime.ClockOf(&words[0]), runtime.ClockOf(&words[1]));
+  EXPECT_EQ(map.ClockOf(&words[0]), map.ClockOf(&words[1]));
 }
 
 TEST(WallOfClocksTest, ClockAssignmentIsDeterministic) {
-  AgentConfig config;
-  config.num_variants = 2;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  WallOfClocksRuntime runtime_a(config, control);
-  WallOfClocksRuntime runtime_b(config, control);
+  HashedClockMap map_a(AgentConfig{}.clock_count);
+  HashedClockMap map_b(AgentConfig{}.clock_count);
   int x = 0;
-  EXPECT_EQ(runtime_a.ClockOf(&x), runtime_b.ClockOf(&x));
+  EXPECT_EQ(map_a.ClockOf(&x), map_b.ClockOf(&x));
 }
 
 TEST(NullAgentTest, IsPureNoOp) {
@@ -825,95 +914,66 @@ TEST(InstrumentationTest, InstrumentedAtomicOps) {
 // --- Per-variable-order address table ---
 
 TEST(PerVariableTableTest, DistinctVariablesGetDistinctClocks) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.max_threads = 4;
-  config.clock_count = 1024;  // Table capacity = 8192 slots.
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ExactClockMap map(/*clock_count=*/1024);  // Table capacity = 8192 slots.
 
   std::vector<int64_t> variables(500);
   std::set<uint32_t> clocks;
   for (const auto& v : variables) {
-    clocks.insert(runtime.ClockOf(&v));
+    clocks.insert(map.ClockOf(&v));
   }
   // int64_t variables occupy distinct 8-byte buckets, so each must get its
   // own clock: the collision-free property WoC gives up by hashing.
   EXPECT_EQ(clocks.size(), variables.size());
-  EXPECT_EQ(runtime.VariablesMapped(), variables.size());
-  EXPECT_EQ(runtime.TableOverflows(), 0u);
+  EXPECT_EQ(map.VariablesMapped(), variables.size());
+  EXPECT_EQ(map.TableOverflows(), 0u);
 }
 
 TEST(PerVariableTableTest, SameVariableAlwaysSameClock) {
-  AgentConfig config;
-  config.num_variants = 2;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ExactClockMap map(AgentConfig{}.clock_count);
 
   int64_t variable = 0;
-  const uint32_t first = runtime.ClockOf(&variable);
+  const uint32_t first = map.ClockOf(&variable);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(runtime.ClockOf(&variable), first);
+    EXPECT_EQ(map.ClockOf(&variable), first);
   }
-  EXPECT_EQ(runtime.VariablesMapped(), 1u);
+  EXPECT_EQ(map.VariablesMapped(), 1u);
 }
 
 TEST(PerVariableTableTest, AdjacentWordsShareAnEightByteBucket) {
-  AgentConfig config;
-  config.num_variants = 2;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ExactClockMap map(AgentConfig{}.clock_count);
 
   // Two 32-bit variables in one 64-bit line map to one clock — the paper's
   // deliberate CMPXCHG8B bucketing (§4.5) is preserved in the PVO table.
   alignas(8) int32_t pair[2] = {0, 0};
-  EXPECT_EQ(runtime.ClockOf(&pair[0]), runtime.ClockOf(&pair[1]));
-  EXPECT_EQ(runtime.VariablesMapped(), 1u);
+  EXPECT_EQ(map.ClockOf(&pair[0]), map.ClockOf(&pair[1]));
+  EXPECT_EQ(map.VariablesMapped(), 1u);
 }
 
 TEST(PerVariableTableTest, SaturatedTableDegradesToSharedClocks) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.clock_count = 1;  // Table capacity clamps to 8 slots.
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
-  ASSERT_EQ(runtime.table_capacity(), 8u);
+  ExactClockMap map(/*clock_count=*/1);  // Table capacity clamps to 8 slots.
+  ASSERT_EQ(map.clock_count(), 8u);
 
   std::vector<int64_t> variables(64);
   for (const auto& v : variables) {
-    const uint32_t clock = runtime.ClockOf(&v);
-    EXPECT_LT(clock, runtime.table_capacity());
+    const uint32_t clock = map.ClockOf(&v);
+    EXPECT_LT(clock, map.clock_count());
   }
   // More variables than slots: the table must have overflowed, and the
   // fallback keeps returning valid (shared) clock ids rather than failing.
-  EXPECT_GT(runtime.TableOverflows(), 0u);
-  EXPECT_LE(runtime.VariablesMapped(), runtime.table_capacity());
+  EXPECT_GT(map.TableOverflows(), 0u);
+  EXPECT_LE(map.VariablesMapped(), map.clock_count());
 }
 
 TEST(PerVariableTableTest, OverflowCountsVariablesNotLookups) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.clock_count = 1;  // Table capacity clamps to 8 slots.
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ExactClockMap map(/*clock_count=*/1);  // Table capacity clamps to 8 slots.
 
   // Fill the table, then find one address that overflows.
   std::vector<int64_t> variables(64);
   const int64_t* overflowed = nullptr;
   for (const auto& v : variables) {
-    const uint64_t before = runtime.TableOverflows();
-    runtime.ClockOf(&v);
-    if (runtime.TableOverflows() > before) {
+    const uint64_t before = map.TableOverflows();
+    map.ClockOf(&v);
+    if (map.TableOverflows() > before) {
       overflowed = &v;
       break;
     }
@@ -922,26 +982,26 @@ TEST(PerVariableTableTest, OverflowCountsVariablesNotLookups) {
 
   // Hammering the same saturated variable must not inflate the counter: it
   // reports variables, not calls (the old behaviour counted every lookup).
-  const uint64_t after_first = runtime.TableOverflows();
-  const uint32_t clock = runtime.ClockOf(overflowed);
+  const uint64_t after_first = map.TableOverflows();
+  const uint32_t clock = map.ClockOf(overflowed);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(runtime.ClockOf(overflowed), clock);
+    EXPECT_EQ(map.ClockOf(overflowed), clock);
   }
-  EXPECT_EQ(runtime.TableOverflows(), after_first);
+  EXPECT_EQ(map.TableOverflows(), after_first);
 }
 
 TEST(PerVariableTableTest, HugeClockCountClampsInsteadOfOverflowing) {
   // Small sizes behave as before: next power of two >= 8x clocks.
-  EXPECT_EQ(PerVariableRuntime::TableCapacityFor(1), 8u);
-  EXPECT_EQ(PerVariableRuntime::TableCapacityFor(1024), 8192u);
-  EXPECT_EQ(PerVariableRuntime::TableCapacityFor(1000), 8192u);
+  EXPECT_EQ(ExactClockMap::TableCapacityFor(1), 8u);
+  EXPECT_EQ(ExactClockMap::TableCapacityFor(1024), 8192u);
+  EXPECT_EQ(ExactClockMap::TableCapacityFor(1000), 8192u);
   // clock_count * 8 would wrap size_t here; the capacity must clamp to the
   // max table size (a power of two), not wrap to a tiny table with an
   // all-wrong mask (and NextPow2 must not loop forever on it).
-  const size_t huge = PerVariableRuntime::TableCapacityFor(SIZE_MAX / 2);
+  const size_t huge = ExactClockMap::TableCapacityFor(SIZE_MAX / 2);
   ASSERT_GT(huge, 0u);
   EXPECT_EQ(huge & (huge - 1), 0u);
-  EXPECT_EQ(huge, PerVariableRuntime::TableCapacityFor(SIZE_MAX));
+  EXPECT_EQ(huge, ExactClockMap::TableCapacityFor(SIZE_MAX));
   EXPECT_LE(huge, size_t{1} << 28);
 }
 
@@ -1287,13 +1347,7 @@ TEST(SleeperCountedWordsTest, MutexHandoffWithTryLock) {
 }
 
 TEST(PerVariableTableTest, ConcurrentInsertsAgreeOnMapping) {
-  AgentConfig config;
-  config.num_variants = 2;
-  config.clock_count = 2048;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ExactClockMap map(/*clock_count=*/2048);
 
   constexpr size_t kVars = 256;
   std::vector<int64_t> variables(kVars);
@@ -1304,7 +1358,7 @@ TEST(PerVariableTableTest, ConcurrentInsertsAgreeOnMapping) {
       for (size_t i = 0; i < kVars; ++i) {
         // Threads race to insert the same addresses in different orders.
         const size_t index = (t % 2 == 0) ? i : kVars - 1 - i;
-        seen[t][index] = runtime.ClockOf(&variables[index]);
+        seen[t][index] = map.ClockOf(&variables[index]);
       }
     });
   }
@@ -1314,7 +1368,7 @@ TEST(PerVariableTableTest, ConcurrentInsertsAgreeOnMapping) {
   for (int t = 1; t < 4; ++t) {
     EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
   }
-  EXPECT_EQ(runtime.VariablesMapped(), kVars);
+  EXPECT_EQ(map.VariablesMapped(), kVars);
 }
 
 }  // namespace

@@ -386,11 +386,23 @@ TEST(MveeSyncTest, UninstrumentedRacyOrderEventuallyDiverges) {
     const Status status = mvee.Run([](VariantEnv& env) {
       auto order = std::make_shared<std::vector<int>>();
       auto mutex = std::make_shared<Mutex>();
-      auto worker = [order, mutex](int id) {
-        return [order, mutex, id](VariantEnv& wenv) {
+      auto started = std::make_shared<std::atomic<int>>(0);
+      auto worker = [order, mutex, started](int id) {
+        return [order, mutex, started, id](VariantEnv& wenv) {
+          // Widen the race window. Under a slow build (TSan) the first
+          // worker could finish all its rounds before the second one
+          // exists, and both variants would record the same uncontended
+          // order. So both workers start the loop together, and each one
+          // gives up its CPU while it holds the lock, letting the other
+          // queue behind it.
+          started->fetch_add(1);
+          while (started->load() < 2) {
+            std::this_thread::yield();
+          }
           for (int i = 0; i < 40; ++i) {
             mutex->Lock();
             order->push_back(id);
+            std::this_thread::yield();
             mutex->Unlock();
             if (i % 8 == 0) {
               wenv.SchedYield();  // Perturb the schedule.

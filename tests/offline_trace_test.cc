@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "mvee/sync/primitives.h"
 #include "mvee/util/rng.h"
 #include "mvee/util/variant_killed.h"
+#include "hard_timeout.h"
 
 namespace mvee {
 namespace {
@@ -124,6 +127,32 @@ TEST(OfflineTraceTest, ExhaustedTraceKillsExtraOps) {
   }
   EXPECT_THROW(lock.Lock(), VariantKilled);
   EXPECT_TRUE(stalled);
+}
+
+// Thread 1's recorded op follows thread 0's on the same lock. A replay in
+// which thread 0 skips that op must not park thread 1 forever: the wait ends
+// at the default replay deadline with an on_stall report.
+TEST(OfflineTraceTest, SkippedPredecessorOpEndsAtReplayDeadline) {
+  HardTimeout timeout(AgentConfig{}.replay_deadline * 6,
+                      "OfflineTraceTest.SkippedPredecessorOpEndsAtReplayDeadline");
+  int lock_word = 0;
+  OfflineRecorderAgent recorder(/*max_threads=*/2, /*clock_count=*/64);
+  for (uint32_t tid : {0u, 1u}) {
+    recorder.BeforeSyncOp(tid, &lock_word);
+    recorder.AfterSyncOp(tid, &lock_word);
+  }
+  auto trace = recorder.TakeTrace();
+  ASSERT_EQ(trace->ThreadEvents(1).at(0).time, 1u);
+
+  std::string report;
+  std::atomic<bool> abort{false};
+  AgentControl control;
+  control.abort_flag = &abort;
+  control.on_stall = [&](const std::string& message) { report = message; };
+  OfflineReplayAgent replayer(trace.get(), control);
+  EXPECT_THROW(replayer.BeforeSyncOp(/*tid=*/1, &lock_word), VariantKilled);
+  EXPECT_NE(report.find("offline-replayer replay deadline"), std::string::npos) << report;
+  EXPECT_EQ(replayer.EventsReplayed(), 0u);
 }
 
 TEST(OfflineTraceTest, EmptyTraceSerializationIsStable) {

@@ -186,80 +186,6 @@ TEST(BroadcastRingTest, PeekDoesNotConsume) {
   EXPECT_EQ(value, 8);
 }
 
-// --- TicketedRingMerge (the sharded TO/PO recording merge, docs/DESIGN.md §8) ---
-
-struct TicketEntry {
-  uint64_t seq = 0;
-  uint64_t key = 0;
-};
-
-TEST(TicketedRingMergeTest, StrictMergeReconstructsGlobalOrder) {
-  // Three "master threads" record interleaved tickets into private rings.
-  BroadcastRing<TicketEntry> ring_a(16);
-  BroadcastRing<TicketEntry> ring_b(16);
-  BroadcastRing<TicketEntry> ring_c(16);
-  for (auto* ring : {&ring_a, &ring_b, &ring_c}) {
-    ring->RegisterConsumer();
-  }
-  ring_a.Push({0, 100});
-  ring_b.Push({1, 200});
-  ring_a.Push({2, 100});
-  ring_c.Push({3, 300});
-  ring_b.Push({4, 100});
-
-  BroadcastRing<TicketEntry>* rings[] = {&ring_a, &ring_b, &ring_c};
-  TicketedRingMerge<TicketEntry> merge(rings, 3, 0);
-  const auto seq_of = [](const TicketEntry& e) { return e.seq; };
-
-  TicketEntry out;
-  for (uint64_t seq = 0; seq < 5; ++seq) {
-    ASSERT_TRUE(merge.TryPopNext(seq, seq_of, &out)) << "seq " << seq;
-    EXPECT_EQ(out.seq, seq);
-  }
-  // Sequence 5 has not been produced anywhere.
-  EXPECT_FALSE(merge.TryPopNext(5, seq_of, &out));
-  // A gap (seq 6 pushed, 5 missing) must not be popped out of order.
-  ring_c.Push({6, 300});
-  EXPECT_FALSE(merge.TryPopNext(5, seq_of, &out));
-  ring_a.Push({5, 100});
-  EXPECT_TRUE(merge.TryPopNext(5, seq_of, &out));
-  EXPECT_TRUE(merge.TryPopNext(6, seq_of, &out));
-}
-
-TEST(TicketedRingMergeTest, DependenceScanFindsConflictsBelowLimit) {
-  BroadcastRing<TicketEntry> ring_a(16);
-  BroadcastRing<TicketEntry> ring_b(16);
-  for (auto* ring : {&ring_a, &ring_b}) {
-    ring->RegisterConsumer();
-  }
-  ring_a.Push({0, 100});
-  ring_a.Push({2, 200});
-  ring_b.Push({1, 200});
-  ring_b.Push({3, 100});
-
-  BroadcastRing<TicketEntry>* rings[] = {&ring_a, &ring_b};
-  TicketedRingMerge<TicketEntry> merge(rings, 2, 0);
-  const auto seq_of = [](const TicketEntry& e) { return e.seq; };
-  const auto key_is = [](uint64_t key) {
-    return [key](const TicketEntry& e) { return e.key == key; };
-  };
-
-  // Key 100 at seq 3 conflicts with unconsumed seq 0 in ring_a.
-  EXPECT_TRUE(merge.AnyUnconsumedBelow(3, seq_of, key_is(100)));
-  // Key 300 conflicts with nothing.
-  EXPECT_FALSE(merge.AnyUnconsumedBelow(3, seq_of, key_is(300)));
-  // Consuming ring_a's front (seq 0, key 100) clears the conflict.
-  ring_a.Advance(0);
-  EXPECT_FALSE(merge.AnyUnconsumedBelow(3, seq_of, key_is(100)));
-  // Key 200 still conflicts through both rings (seq 1 and seq 2)...
-  EXPECT_TRUE(merge.AnyUnconsumedBelow(2, seq_of, key_is(200)));
-  // ...until ring_b's front (seq 1) is consumed; entries at/above the limit
-  // are never conflicts, so limit 2 now sees nothing.
-  ring_b.Advance(0);
-  EXPECT_TRUE(merge.AnyUnconsumedBelow(3, seq_of, key_is(200)));
-  EXPECT_FALSE(merge.AnyUnconsumedBelow(2, seq_of, key_is(200)));
-}
-
 TEST(BroadcastRingTest, ConcurrentProducerConsumer) {
   BroadcastRing<uint64_t> ring(64);
   const size_t consumer = ring.RegisterConsumer();
@@ -367,23 +293,6 @@ TEST(BroadcastRingCachingTest, TryPushFailsExactlyWhenFull) {
   EXPECT_EQ(ring.Pop(consumer), 0);
   EXPECT_TRUE(ring.TryPush(4));
   EXPECT_FALSE(ring.TryPush(99));
-}
-
-TEST(BroadcastRingCachingTest, ConsumerAwareTryReadTracksProduction) {
-  BroadcastRing<int> ring(8);
-  const size_t consumer = ring.RegisterConsumer();
-  int value = -1;
-  EXPECT_FALSE(ring.TryRead(consumer, 0, &value));
-  ring.Push(10);
-  ring.Push(11);
-  EXPECT_TRUE(ring.TryRead(consumer, 0, &value));
-  EXPECT_EQ(value, 10);
-  EXPECT_TRUE(ring.TryRead(consumer, 1, &value));
-  EXPECT_EQ(value, 11);
-  EXPECT_FALSE(ring.TryRead(consumer, 2, &value));
-  ring.Push(12);
-  EXPECT_TRUE(ring.TryRead(consumer, 2, &value));
-  EXPECT_EQ(value, 12);
 }
 
 TEST(BroadcastRingCachingTest, ConcurrentBroadcastTwoConsumers) {
