@@ -3,23 +3,25 @@
 //
 // Per module row (~10k / ~40k / >=100k MIR instructions) the bench times the
 // full two-stage identification pipeline under each engine:
-//   - steensgaard            unification (DSA-style), near-linear
-//   - andersen-baseline      textbook std::set worklist (fast_solver=0)
-//   - andersen-wave          sparse bitmaps + difference propagation +
-//                            online cycle collapse (fast_solver=1)
-//   - field-sensitive        inclusion solver over (object, field) locs
+//   - steensgaard               unification (DSA-style), near-linear
+//   - andersen-baseline         textbook std::set worklist (fast_solver=0)
+//   - andersen-wave             sparse bitmaps + difference propagation +
+//                               online cycle collapse (fast_solver=1)
+//   - field-sensitive-baseline  the same two engines on the field-sensitive
+//   - field-sensitive-wave      lowering: (object, field) locations
 // and reports: solve wall time, solution memory, precision (spurious type
 // (iii) marks = marked memops whose source line carries the corpus'
 // "noise:" ground-truth prefix), and plan quality through
 // DeriveAssignmentPlan (how many variables each engine routes to kNull /
 // kTotalOrder / kPartialOrder — precision loss shows up as PO fallback).
 //
-// CI gate: MVEE_BENCH_ANALYSIS_MIN_SPEEDUP fails the run when the wave
-// engine does not beat the baseline Andersen by the given factor on the
-// largest (>=100k instruction) row, or when the two Andersen engines
-// disagree on ANY mark (the speedup must come at exact precision parity;
-// the differential tests prove per-register equality, the bench re-checks
-// the end-to-end reports). 0/unset = report only.
+// CI gate: MVEE_BENCH_ANALYSIS_MIN_SPEEDUP fails the run when the Andersen
+// wave engine does not beat the baseline by the given factor on the largest
+// (>=100k instruction) row. The run fails regardless, on every row, when the
+// wave and baseline engines disagree on ANY mark, field-insensitive or
+// field-sensitive (the speedup must come at exact precision parity; the
+// differential tests prove per-register equality, the bench re-checks the
+// end-to-end reports). 0/unset = report only.
 
 #include <chrono>
 #include <cstdio>
@@ -95,15 +97,15 @@ struct EngineRow {
 };
 
 template <typename Fn>
-EngineRow MeasureEngine(const InterprocCorpus& corpus, const char* engine, Fn identify) {
+EngineRow MeasureEngine(const InterprocCorpus& corpus, Fn identify) {
   EngineRow row;
   row.module = corpus.module.name;
   row.instructions = corpus.module.InstructionCount();
-  row.engine = engine;
   const auto start = std::chrono::steady_clock::now();
   row.report = identify(corpus.module);
   row.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  row.engine = row.report.stats.solver;
   row.plan = CountPlan(corpus.module, row.report, corpus.escaping_objects);
   return row;
 }
@@ -142,7 +144,7 @@ void WriteAnalysisJson(const std::vector<EngineRow>& rows, double largest_speedu
   std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
 }
 
-// Exact end-to-end agreement between the two Andersen engines.
+// Exact end-to-end agreement between the wave and baseline engines.
 bool ReportsMatch(const SyncOpReport& a, const SyncOpReport& b) {
   auto sites_match = [](const std::vector<SyncOpSite>& x, const std::vector<SyncOpSite>& y) {
     if (x.size() != y.size()) {
@@ -165,12 +167,6 @@ bool ReportsMatch(const SyncOpReport& a, const SyncOpReport& b) {
 int main() {
   bench::PrintHeader("Analysis engines: solve time / memory / precision / plan quality");
 
-  // The field-sensitive engine shares the baseline's std::set representation;
-  // above this size it would dominate the sweep's wall time, so it is capped
-  // (and the cap is logged — the row simply has no field-sensitive entry).
-  const size_t field_sensitive_cap = static_cast<size_t>(
-      bench::EnvInt("MVEE_BENCH_ANALYSIS_FS_CAP", 50000));
-
   double min_speedup = 0.0;
   if (const char* env = std::getenv("MVEE_BENCH_ANALYSIS_MIN_SPEEDUP")) {
     min_speedup = std::atof(env);
@@ -187,14 +183,14 @@ int main() {
     std::printf("\n%s: %zu instructions, %zu objects, %zu functions, %zu noise memops\n",
                 spec.module_name, instructions, corpus.module.objects.size(),
                 corpus.module.functions.size(), corpus.noise_memops);
-    std::printf("%-20s %12s %12s %10s %10s %8s %22s\n", "engine", "solve s", "mem bytes",
+    std::printf("%-26s %12s %12s %10s %10s %8s %22s\n", "engine", "solve s", "mem bytes",
                 "type(iii)", "spurious", "iters", "plan null/TO/PO/PVO");
 
     auto print_row = [&](const EngineRow& row) {
       char plan[64];
       std::snprintf(plan, sizeof(plan), "%zu/%zu/%zu/%zu", row.plan.null_routes,
                     row.plan.total_order, row.plan.partial_order, row.plan.per_variable);
-      std::printf("%-20s %12.4f %12llu %10zu %10zu %8llu %22s\n", row.engine.c_str(),
+      std::printf("%-26s %12.4f %12llu %10zu %10zu %8llu %22s\n", row.engine.c_str(),
                   row.solve_seconds,
                   static_cast<unsigned long long>(row.report.stats.points_to_bytes),
                   row.report.type_iii.size(), SpuriousMarks(row.report),
@@ -206,49 +202,40 @@ int main() {
       rows.push_back(row);
     };
 
-    const EngineRow steensgaard = MeasureEngine(
-        corpus, "steensgaard", [](const MirModule& m) { return IdentifySyncOps(m); });
+    const EngineRow steensgaard =
+        MeasureEngine(corpus, [](const MirModule& m) { return IdentifySyncOps(m); });
     print_row(steensgaard);
 
-    SyncOpAnalysisOptions baseline_options;
-    baseline_options.analysis.fast_solver = false;
-    const EngineRow baseline =
-        MeasureEngine(corpus, "andersen-baseline", [&](const MirModule& m) {
-          return IdentifySyncOpsAndersen(m, baseline_options);
-        });
-    print_row(baseline);
+    // Both inclusion analyses, each on the textbook and the wave engine.
+    for (const bool field_sensitive : {false, true}) {
+      const char* analysis = field_sensitive ? "field-sensitive" : "andersen";
+      auto identify = [field_sensitive](bool fast_solver) {
+        return [field_sensitive, fast_solver](const MirModule& m) {
+          SyncOpAnalysisOptions options;
+          options.analysis.fast_solver = fast_solver;
+          return field_sensitive ? IdentifySyncOpsFieldSensitive(m, options)
+                                 : IdentifySyncOpsAndersen(m, options);
+        };
+      };
+      const EngineRow baseline = MeasureEngine(corpus, identify(false));
+      print_row(baseline);
+      const EngineRow fast = MeasureEngine(corpus, identify(true));
+      print_row(fast);
 
-    SyncOpAnalysisOptions fast_options;
-    fast_options.analysis.fast_solver = true;
-    const EngineRow fast = MeasureEngine(corpus, "andersen-wave", [&](const MirModule& m) {
-      return IdentifySyncOpsAndersen(m, fast_options);
-    });
-    print_row(fast);
-
-    if (!ReportsMatch(baseline.report, fast.report)) {
-      std::fprintf(stderr, "FAIL: %s: wave and baseline Andersen reports disagree\n",
-                   spec.module_name);
-      parity_ok = false;
-    }
-    const double speedup =
-        fast.solve_seconds > 0.0 ? baseline.solve_seconds / fast.solve_seconds : 0.0;
-    std::printf("  wave vs baseline: %.1fx (parity %s)\n", speedup,
-                parity_ok ? "ok" : "BROKEN");
-    if (instructions > largest_instructions) {
-      largest_instructions = instructions;
-      largest_speedup = speedup;
-    }
-
-    if (instructions <= field_sensitive_cap) {
-      const EngineRow sensitive =
-          MeasureEngine(corpus, "field-sensitive", [](const MirModule& m) {
-            return IdentifySyncOpsFieldSensitive(m);
-          });
-      print_row(sensitive);
-    } else {
-      std::printf("  (field-sensitive skipped above %zu instructions; "
-                  "raise MVEE_BENCH_ANALYSIS_FS_CAP to include it)\n",
-                  field_sensitive_cap);
+      const bool parity = ReportsMatch(baseline.report, fast.report);
+      if (!parity) {
+        std::fprintf(stderr, "FAIL: %s: wave and baseline %s reports disagree\n",
+                     spec.module_name, analysis);
+        parity_ok = false;
+      }
+      const double speedup =
+          fast.solve_seconds > 0.0 ? baseline.solve_seconds / fast.solve_seconds : 0.0;
+      std::printf("  %s wave vs baseline: %.1fx (parity %s)\n", analysis, speedup,
+                  parity ? "ok" : "BROKEN");
+      if (!field_sensitive && instructions > largest_instructions) {
+        largest_instructions = instructions;
+        largest_speedup = speedup;
+      }
     }
   }
 
@@ -262,7 +249,7 @@ int main() {
                  largest_speedup, largest_instructions, min_speedup);
     gate_ok = false;
   }
-  std::printf("\nwave vs baseline on largest module (%zu instructions): %.1fx%s\n",
+  std::printf("\nandersen wave vs baseline on largest module (%zu instructions): %.1fx%s\n",
               largest_instructions, largest_speedup,
               min_speedup > 0.0 ? (gate_ok ? " (gate ok)" : " (gate FAILED)") : "");
   return gate_ok ? 0 : 1;

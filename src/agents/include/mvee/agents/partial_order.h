@@ -61,9 +61,10 @@ class PartialOrderRuntime {
   // 0 for out-of-range variants.
   uint64_t ReplayedPrefix(uint32_t variant);
 
-  // Which recording shard an address hashes to. Exposed for tests that need
-  // sync variables in provably distinct shards (shard collisions merge
-  // dependence chains, which is correct but over-serializing).
+  // Which recording shard an address hashes to in a runtime with the default
+  // max_threads. Exposed for tests that need sync variables in provably
+  // distinct shards (shard collisions merge dependence chains, which is
+  // correct but over-serializing).
   static size_t RecordShardIndex(const void* addr);
 
  private:

@@ -23,6 +23,17 @@
 
 namespace mvee {
 
+// Record shard locks for a runtime of `max_threads` threads per variant:
+// 8 per thread, at least 512, rounded up to a power of two, at most 65536.
+// The default max_threads = 64 gives 512.
+inline size_t RecordShardCount(uint32_t max_threads) {
+  size_t count = 512;
+  while (count < size_t{max_threads} * 8 && count < (size_t{1} << 16)) {
+    count <<= 1;
+  }
+  return count;
+}
+
 // Per-variable recording shards + the fetch_add ticket counter. `Extra` is
 // a per-shard payload guarded by the shard's lock (empty for TO, the
 // dependence-chain tail for PO). Hashing uses WoC's 8-byte bucketing, so
@@ -31,10 +42,6 @@ namespace mvee {
 template <typename Extra>
 class TicketedRecordShards {
  public:
-  // Default shard count when no AgentConfig is in play (standalone tests);
-  // configured runtimes size from AgentConfig::record_shard_count, which
-  // scales with max_threads.
-  static constexpr size_t kDefaultShardCount = 512;  // power of two
 
   struct alignas(64) Shard {
     std::atomic_flag lock = ATOMIC_FLAG_INIT;
@@ -43,10 +50,8 @@ class TicketedRecordShards {
     void Release() { lock.clear(std::memory_order_release); }
   };
 
-  // `shard_count` must be a power of two (ValidatedAgentConfig guarantees it
-  // for configured callers).
-  explicit TicketedRecordShards(size_t shard_count = kDefaultShardCount)
-      : shard_mask_(shard_count - 1), shards_(shard_count) {}
+  explicit TicketedRecordShards(uint32_t max_threads)
+      : shard_mask_(RecordShardCount(max_threads) - 1), shards_(shard_mask_ + 1) {}
 
   static size_t IndexFor(const void* addr, size_t shard_count) {
     return ClockAddressHash(reinterpret_cast<uint64_t>(addr)) & (shard_count - 1);

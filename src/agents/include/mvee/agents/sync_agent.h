@@ -71,12 +71,6 @@ struct AgentConfig {
   // waiting thread unwinds with VariantKilled. Detects uninstrumented sync
   // ops (the nginx scenario of §5.5).
   std::chrono::milliseconds replay_deadline{10000};
-  // Number of per-sync-variable record shard locks for the TO/PO recording
-  // path (docs/DESIGN.md §8). 0 = auto: scale with max_threads
-  // (8 shards per thread, floor 512 — the PR 5 constant — so the default
-  // config is unchanged). Rounded up to a power of two, clamped to
-  // [64, 65536]. Exposed for the shard-collision ablation.
-  size_t record_shard_count = 0;
   // Contention-adaptive per-variable dispatch (docs/DESIGN.md §11) is the
   // only fleet shape for every kind but kNull: the fleet instantiates every
   // agent runtime, routes each *registered* sync variable
@@ -129,23 +123,6 @@ inline AgentConfig ValidatedAgentConfig(AgentConfig config) {
   if (config.po_window == 0) {
     config.po_window = 1;
   }
-  // Record shard count: auto-scale from max_threads, then round to a power
-  // of two in [64, 65536].
-  if (config.record_shard_count == 0) {
-    const size_t scaled = static_cast<size_t>(config.max_threads) * 8;
-    config.record_shard_count = scaled < 512 ? 512 : scaled;
-  }
-  if (config.record_shard_count < 64) {
-    config.record_shard_count = 64;
-  }
-  if (config.record_shard_count > (size_t{1} << 16)) {
-    config.record_shard_count = size_t{1} << 16;
-  }
-  size_t shard_pow2 = 64;
-  while (shard_pow2 < config.record_shard_count) {
-    shard_pow2 <<= 1;
-  }
-  config.record_shard_count = shard_pow2;
   return config;
 }
 

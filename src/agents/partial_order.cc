@@ -12,7 +12,7 @@ PartialOrderRuntime::PartialOrderRuntime(const AgentConfig& config, AgentControl
     : config_(ValidatedAgentConfig(config)),
       control_(std::move(control)),
       stats_(config_),
-      record_shards_(config_.record_shard_count),
+      record_shards_(config_.max_threads),
       thread_rings_(config_) {
   for (uint32_t v = 1; v < config_.num_variants; ++v) {
     auto slave = std::make_unique<SlaveState>();
@@ -27,9 +27,8 @@ PartialOrderRuntime::PartialOrderRuntime(const AgentConfig& config, AgentControl
 }
 
 size_t PartialOrderRuntime::RecordShardIndex(const void* addr) {
-  // Default-config shard mapping (tests construct their runtimes with the
-  // default max_threads, whose auto record_shard_count is the default).
-  return RecordShards::IndexFor(addr, RecordShards::kDefaultShardCount);
+  // The shard mapping of a runtime with the default max_threads.
+  return RecordShards::IndexFor(addr, RecordShardCount(AgentConfig{}.max_threads));
 }
 
 void PartialOrderRuntime::DetachVariant(uint32_t variant) {

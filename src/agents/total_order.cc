@@ -10,7 +10,7 @@ TotalOrderRuntime::TotalOrderRuntime(const AgentConfig& config, AgentControl con
     : config_(ValidatedAgentConfig(config)),
       control_(std::move(control)),
       stats_(config_),
-      record_shards_(config_.record_shard_count),
+      record_shards_(config_.max_threads),
       thread_rings_(config_),
       replay_fronts_(config_.num_variants > 0 ? config_.num_variants - 1 : 0) {}
 

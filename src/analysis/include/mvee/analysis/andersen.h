@@ -14,10 +14,12 @@
 //                        cycle collapse.
 //
 // Both engines consume the same ConstraintProgram (constraints.h) — AddrOf,
-// copy, and interprocedural parameter/return flow, with indirect-call
-// targets resolved on the fly from the growing points-to solution — and
-// produce bit-identical solutions; the differential tests in
+// copy, field select, and interprocedural parameter/return flow, with
+// indirect-call targets resolved on the fly from the growing points-to
+// solution — and produce bit-identical solutions; the differential tests in
 // tests/analysis_test.cc prove per-register equality on randomized modules.
+// The field-sensitive analysis (field_sensitive.h) is the same two engines
+// run on the program's field-sensitive lowering.
 //
 // The directionality is what distinguishes it from Steensgaard: `p = &x;
 // p = &y; q = &y` does NOT force x into pts(q). The analysis bench compares
@@ -31,20 +33,24 @@
 #include <utility>
 #include <vector>
 
+#include "mvee/analysis/constraints.h"
 #include "mvee/analysis/mir.h"
 #include "mvee/analysis/options.h"
-#include "mvee/analysis/sparse_bitmap.h"
-#include "mvee/analysis/stats.h"
 
 namespace mvee {
+
+// Solves `program` with the engine `options` selects: the wave solver
+// (fast_solver) or the textbook baseline.
+PointsToSolution SolveInclusion(const MirModule& module, const ConstraintProgram& program,
+                                const AnalysisOptions& options);
 
 class AndersenAnalysis {
  public:
   explicit AndersenAnalysis(const MirModule& module, const AnalysisOptions& options = {});
 
   // The set of object indices pointer register `reg` may point to,
-  // materialized. Convenient for tests; hot paths should use ForEachPointee
-  // or PointsToObject, which query the bitmap solution directly.
+  // materialized. Convenient for tests; hot paths should use ForEachPointee,
+  // which walks the bitmap solution directly.
   std::set<int32_t> PointsTo(int32_t reg) const;
 
   // Sorted pointee ids — the differential tests' comparison form.
@@ -52,28 +58,17 @@ class AndersenAnalysis {
 
   template <typename Fn>
   void ForEachPointee(int32_t reg, Fn fn) const {
-    if (reg >= 0 && static_cast<size_t>(reg) < rep_.size()) {
-      pts_[rep_[reg]].ForEach([&](uint32_t object) { fn(static_cast<int32_t>(object)); });
-    }
+    solution_.Locations(reg).ForEach([&](uint32_t object) { fn(static_cast<int32_t>(object)); });
   }
 
-  bool PointsToObject(int32_t reg, int32_t object) const;
   bool MayAlias(int32_t reg_a, int32_t reg_b) const;
-  // True if `reg` may point to any object in `objects`. Probes the bitmap
-  // per candidate — no set materialization.
-  bool MayPointInto(int32_t reg, const std::set<int32_t>& objects) const;
 
-  const AnalysisStats& stats() const { return stats_; }
-  // Back-compat cost metric (pre-AnalysisStats callers).
-  uint64_t solver_iterations() const { return stats_.solver_iterations; }
+  // Locations are objects (one slot per object).
+  const PointsToSolution& solution() const { return solution_; }
+  const AnalysisStats& stats() const { return solution_.stats; }
 
  private:
-  // rep_[r] names the constraint node holding r's solution — the wave
-  // engine collapses cycle members onto one node; the baseline maps each
-  // register to itself.
-  std::vector<int32_t> rep_;
-  std::vector<SparseBitmap> pts_;
-  AnalysisStats stats_;
+  PointsToSolution solution_;
 };
 
 // All call-induced def-use copy pairs (dst, src): direct calls resolved

@@ -12,23 +12,28 @@
 //    (i) and (ii) instruction operands."
 //
 // This analysis is the missing piece the paper left to future work: an
-// inclusion-based solver whose abstract locations are (object, field) pairs,
-// queryable at field granularity for heap objects. A heap node carrying an
-// atomically-updated reference count in field 0 and payload in fields 1..n
-// (the STL refcounting pattern of §5.3) keeps its payload accesses unmarked,
-// where the field-insensitive analyses mark every access to the object.
+// inclusion-based solution whose abstract locations are (object, field)
+// pairs, queryable at field granularity for heap objects. A heap node
+// carrying an atomically-updated reference count in field 0 and payload in
+// fields 1..n (the STL refcounting pattern of §5.3) keeps its payload
+// accesses unmarked, where the field-insensitive analyses mark every access
+// to the object.
 //
-// Opaque pointer arithmetic (kGep with field = -1) collapses the result to
-// the any-field wildcard — exactly the SVF conservatism the paper observed.
+// It is no separate solver: the constraint program lowers each kGep to a
+// field select (constraints.h), and the Andersen engines — the wave solver
+// or, with fast_solver off, the textbook oracle — solve it. Opaque pointer
+// arithmetic (kGep with field = -1) collapses the result to the any-field
+// wildcard — exactly the SVF conservatism the paper observed.
 
 #ifndef MVEE_ANALYSIS_FIELD_SENSITIVE_H_
 #define MVEE_ANALYSIS_FIELD_SENSITIVE_H_
 
 #include <cstdint>
 #include <set>
-#include <vector>
 
+#include "mvee/analysis/constraints.h"
 #include "mvee/analysis/mir.h"
+#include "mvee/analysis/options.h"
 #include "mvee/analysis/syncop_analysis.h"
 
 namespace mvee {
@@ -39,7 +44,7 @@ struct FieldLoc {
   int32_t object = -1;
   int32_t field = 0;
 
-  static constexpr int32_t kAnyField = -1;
+  static constexpr int32_t kAnyField = LocationSpace::kAnyField;
 
   friend bool operator<(const FieldLoc& a, const FieldLoc& b) {
     return a.object != b.object ? a.object < b.object : a.field < b.field;
@@ -53,29 +58,19 @@ bool LocsMayAlias(const FieldLoc& a, const FieldLoc& b);
 
 class FieldSensitiveAnalysis {
  public:
-  explicit FieldSensitiveAnalysis(const MirModule& module);
+  explicit FieldSensitiveAnalysis(const MirModule& module, const AnalysisOptions& options = {});
 
-  const std::set<FieldLoc>& PointsTo(int32_t reg) const;
+  // The (object, field) locations `reg` may point to, materialized.
+  std::set<FieldLoc> PointsTo(int32_t reg) const;
 
+  // True if some location of `reg_a` may alias some location of `reg_b`.
   bool MayAlias(int32_t reg_a, int32_t reg_b) const;
-  // True if some location of `reg` may alias some location in `locs`.
-  bool MayPointInto(int32_t reg, const std::set<FieldLoc>& locs) const;
 
-  const AnalysisStats& stats() const { return stats_; }
-  // Back-compat cost metric (pre-AnalysisStats callers).
-  uint64_t solver_iterations() const { return stats_.solver_iterations; }
+  const PointsToSolution& solution() const { return solution_; }
+  const AnalysisStats& stats() const { return solution_.stats; }
 
  private:
-  struct GepEdge {
-    int32_t target;
-    int32_t field;  // kAnyField for opaque arithmetic.
-  };
-
-  std::vector<std::set<FieldLoc>> points_to_;       // Per register.
-  std::vector<std::vector<int32_t>> copy_targets_;  // Mov edges.
-  std::vector<std::vector<GepEdge>> gep_targets_;   // Field-select edges.
-  AnalysisStats stats_;
-  std::set<FieldLoc> empty_;
+  PointsToSolution solution_;
 };
 
 // The two-stage identification of §4.3 at field granularity. Same report

@@ -21,9 +21,10 @@ inline bool DefaultFastSolver() {
 }
 
 struct AnalysisOptions {
-  // On: Andersen solving uses the wave-propagation engine (sparse bitmaps,
-  // difference propagation, online cycle collapse — wave_solver.h). Off: the
-  // textbook std::set worklist solver. Both produce bit-identical points-to
+  // On: inclusion solving — Andersen and the field-sensitive analysis —
+  // uses the wave-propagation engine (sparse bitmaps, difference
+  // propagation, online cycle collapse — wave_solver.h). Off: the textbook
+  // std::set worklist solver. Both produce bit-identical points-to
   // solutions (tests/analysis_test.cc proves it per register); only cost
   // differs. bench_analysis.cc measures the gap and CI gates on it.
   bool fast_solver = DefaultFastSolver();

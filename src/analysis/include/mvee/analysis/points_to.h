@@ -13,7 +13,8 @@
 // targets are the function objects in the fptr's pointee class, iterated to
 // a fixpoint (new callees can grow the class, which can reveal new callees).
 //
-// Queries run off a class-membership index built once after solving — the
+// Queries run off a PointsToSolution built once after solving: one member
+// bitmap per pointee class, shared by every register pointing into it — the
 // seed implementation rescanned every object per PointsTo call, making each
 // query O(#objects) and the stage-2 pipeline quadratic on large modules.
 
@@ -22,11 +23,10 @@
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "mvee/analysis/constraints.h"
 #include "mvee/analysis/mir.h"
-#include "mvee/analysis/stats.h"
 
 namespace mvee {
 
@@ -41,11 +41,10 @@ class PointsToAnalysis {
   // True if the two registers may point to a common object.
   bool MayAlias(int32_t reg_a, int32_t reg_b) const;
 
-  // True if `reg` may point to any object in `objects`. Walks the indexed
-  // member list of reg's pointee class — no set is materialized.
-  bool MayPointInto(int32_t reg, const std::set<int32_t>& objects) const;
-
-  const AnalysisStats& stats() const { return stats_; }
+  // Locations are objects (one slot per object); rep[r] names r's pointee
+  // class bitmap.
+  const PointsToSolution& solution() const { return solution_; }
+  const AnalysisStats& stats() const { return solution_.stats; }
 
  private:
   // Union-find node ids: [0, reg_count) are registers,
@@ -58,17 +57,14 @@ class PointsToAnalysis {
   void UnifySuccessors(int32_t a, int32_t b);
   // The root of reg's pointee class, or -1 if reg points at nothing.
   int32_t PointeeClassOf(int32_t reg) const;
-  // Builds class_members_ after the constraint fixpoint.
-  void BuildMemberIndex(const MirModule& module);
+  // Builds solution_ after the constraint fixpoint.
+  void BuildSolution();
 
   int32_t reg_count_ = 0;
   int32_t object_count_ = 0;
   mutable std::vector<int32_t> parent_;
   std::vector<int32_t> successor_;  // Per class representative; -1 = none.
-  // Class root -> sorted object members. Built once post-solve; every query
-  // is O(members) instead of O(#objects).
-  std::unordered_map<int32_t, std::vector<int32_t>> class_members_;
-  AnalysisStats stats_;
+  PointsToSolution solution_;
 };
 
 }  // namespace mvee

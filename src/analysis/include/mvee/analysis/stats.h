@@ -1,7 +1,8 @@
 // Unified per-analysis cost accounting.
 //
-// Every points-to engine (Steensgaard, baseline Andersen, the wave solver,
-// the field-sensitive solver) fills one AnalysisStats during construction
+// Every points-to engine (Steensgaard, and the textbook and wave inclusion
+// solvers, which serve both Andersen and the field-sensitive analysis) fills
+// one AnalysisStats during construction
 // instead of growing ad-hoc per-class getters. The stats ride along in
 // SyncOpReport, show up in the Table-3 output, and are what
 // bench_analysis.cc serializes into BENCH_analysis.json — so solver cost is
@@ -16,13 +17,15 @@
 namespace mvee {
 
 struct AnalysisStats {
-  // Which engine produced the solution ("steensgaard", "andersen-baseline",
-  // "andersen-wave", "field-sensitive").
+  // Which analysis and engine produced the solution ("steensgaard",
+  // "andersen-baseline", "andersen-wave", "field-sensitive-baseline",
+  // "field-sensitive-wave").
   std::string solver;
   // Worklist pops (set-based solvers) / node visits across waves (wave
   // solver) / unify operations (Steensgaard). The engines' unit of work.
   uint64_t solver_iterations = 0;
-  // Seed constraints extracted from the module (addr-of + copy + call).
+  // Seed constraints extracted from the module (addr-of + copy + field
+  // select + call).
   uint64_t constraints = 0;
   // Copy-graph edges, including edges added by call resolution.
   uint64_t copy_edges = 0;

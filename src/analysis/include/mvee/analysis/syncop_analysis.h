@@ -10,6 +10,10 @@
 // built *only* from aligned loads/stores (paper Listing 2) are missed unless
 // the volatile extension is enabled, which additionally seeds every
 // volatile-qualified object (§4.3's "obvious extension").
+//
+// The two stages exist once (IdentifySyncOpsIn); the three analyses differ
+// only in the points-to solution they hand it — Steensgaard's classes,
+// Andersen's object sets, or the field-sensitive (object, field) sets.
 
 #ifndef MVEE_ANALYSIS_SYNCOP_ANALYSIS_H_
 #define MVEE_ANALYSIS_SYNCOP_ANALYSIS_H_
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "mvee/analysis/constraints.h"
 #include "mvee/analysis/mir.h"
 #include "mvee/analysis/options.h"
 #include "mvee/analysis/stats.h"
@@ -57,6 +62,14 @@ struct SyncOpAnalysisOptions {
   // Engine knobs (solver selection) for the pipelines that run Andersen.
   AnalysisOptions analysis;
 };
+
+// Runs both stages on `module` over a solved points-to problem: stage 1
+// seeds the sync locations from the pointer operands of type (i)/(ii)
+// instructions (plus, with the volatile extension, every location of each
+// volatile object); stage 2 marks each load/store whose pointer may alias a
+// seed location. The report's stats are the solution's.
+SyncOpReport IdentifySyncOpsIn(const MirModule& module, const PointsToSolution& solution,
+                               const SyncOpAnalysisOptions& options = {});
 
 // Runs both stages on `module` with the Steensgaard (DSA-style) points-to —
 // the paper's first automation attempt.

@@ -1,4 +1,4 @@
-// Wave-propagation Andersen solver (Hardekopf & Lin, "The Ant and the
+// Wave-propagation inclusion solver (Hardekopf & Lin, "The Ant and the
 // Grasshopper", adapted).
 //
 // The textbook solver (andersen.cc's baseline engine) pops one register at a
@@ -18,6 +18,13 @@
 //     element; the condensation is then processed in topological order, so
 //     one wave reaches the fixpoint for a fixed graph.
 //
+// Field selects (field-sensitive programs) ride the same waves: each node
+// pushes select_f(delta) along its select out-edges. They are not copy
+// edges, so they never join a collapsed cycle; a collapse merges the
+// members' select out-edges onto the representative, which re-pushes its
+// whole set once like any merged node. A select into a node the wave has
+// already passed is picked up by the next wave.
+//
 // Indirect calls are the one graph-growing constraint (MIR has no
 // load/store-deref pointer flow): after every wave, new function objects in
 // pts(fptr) resolve to new parameter/return copy edges, and the loop
@@ -28,25 +35,13 @@
 #ifndef MVEE_ANALYSIS_WAVE_SOLVER_H_
 #define MVEE_ANALYSIS_WAVE_SOLVER_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "mvee/analysis/constraints.h"
-#include "mvee/analysis/sparse_bitmap.h"
-#include "mvee/analysis/stats.h"
 
 namespace mvee {
 
-struct WaveSolution {
-  // rep[r] is the constraint node register r was collapsed into; the node's
-  // points-to set is pts[rep[r]]. Cycle members share one bitmap — part of
-  // the memory win.
-  std::vector<int32_t> rep;
-  std::vector<SparseBitmap> pts;
-  AnalysisStats stats;
-};
-
-WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program);
+// Cycle members share one bitmap (solution.rep names the collapsed node) —
+// part of the memory win.
+PointsToSolution SolveWave(const MirModule& module, const ConstraintProgram& program);
 
 }  // namespace mvee
 

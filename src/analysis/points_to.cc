@@ -1,11 +1,12 @@
 #include "mvee/analysis/points_to.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace mvee {
 
 PointsToAnalysis::PointsToAnalysis(const MirModule& module) {
-  stats_.solver = "steensgaard";
+  solution_.stats.solver = "steensgaard";
   reg_count_ = module.register_count;
   object_count_ = static_cast<int32_t>(module.objects.size());
   const int32_t node_count = reg_count_ + object_count_;
@@ -29,18 +30,18 @@ PointsToAnalysis::PointsToAnalysis(const MirModule& module) {
     if (callee < 0 || static_cast<size_t>(callee) >= module.functions.size()) {
       return;
     }
-    ++stats_.call_edges_resolved;
+    ++solution_.stats.call_edges_resolved;
     const MirFunction& target = module.functions[callee];
     const size_t bound = std::min(args.size(), target.params.size());
     for (size_t i = 0; i < bound; ++i) {
       if (args[i] >= 0) {
         UnifySuccessors(target.params[i], args[i]);
-        ++stats_.copy_edges;
+        ++solution_.stats.copy_edges;
       }
     }
     if (dst >= 0 && target.return_reg >= 0) {
       UnifySuccessors(dst, target.return_reg);
-      ++stats_.copy_edges;
+      ++solution_.stats.copy_edges;
     }
   };
 
@@ -61,7 +62,7 @@ PointsToAnalysis::PointsToAnalysis(const MirModule& module) {
         case MirOp::kAddrOf:
         case MirOp::kAlloc: {
           // dst may point to object: unify succ(dst) with the object class.
-          ++stats_.constraints;
+          ++solution_.stats.constraints;
           const int32_t object_node = reg_count_ + inst.object;
           const int32_t succ = SuccessorOf(inst.dst);
           Union(succ, object_node);
@@ -70,13 +71,13 @@ PointsToAnalysis::PointsToAnalysis(const MirModule& module) {
         case MirOp::kMov:
         case MirOp::kGep: {
           // dst = src (field-insensitive): unify successors.
-          ++stats_.constraints;
-          ++stats_.copy_edges;
+          ++solution_.stats.constraints;
+          ++solution_.stats.copy_edges;
           UnifySuccessors(inst.dst, inst.src);
           break;
         }
         case MirOp::kCall: {
-          ++stats_.constraints;
+          ++solution_.stats.constraints;
           const int32_t callee = (inst.object >= 0 &&
                                   static_cast<size_t>(inst.object) < module.objects.size())
                                      ? module.objects[inst.object].function_index
@@ -85,7 +86,7 @@ PointsToAnalysis::PointsToAnalysis(const MirModule& module) {
           break;
         }
         case MirOp::kIndirectCall:
-          ++stats_.constraints;
+          ++solution_.stats.constraints;
           indirect_sites.push_back({&inst, {}});
           break;
         default:
@@ -117,7 +118,7 @@ PointsToAnalysis::PointsToAnalysis(const MirModule& module) {
     }
   }
 
-  BuildMemberIndex(module);
+  BuildSolution();
 }
 
 int32_t PointsToAnalysis::Find(int32_t node) const {
@@ -134,8 +135,8 @@ void PointsToAnalysis::Union(int32_t a, int32_t b) {
   if (root_a == root_b) {
     return;
   }
-  ++stats_.solver_iterations;
-  ++stats_.sccs_collapsed;
+  ++solution_.stats.solver_iterations;
+  ++solution_.stats.sccs_collapsed;
   parent_[root_b] = root_a;
   // Merge successors: if both classes had one, those must unify too
   // (recursive join — the heart of Steensgaard's near-linear algorithm).
@@ -178,29 +179,36 @@ int32_t PointsToAnalysis::PointeeClassOf(int32_t reg) const {
   return succ == -1 ? -1 : Find(succ);
 }
 
-void PointsToAnalysis::BuildMemberIndex(const MirModule& module) {
-  (void)module;
+void PointsToAnalysis::BuildSolution() {
+  // Class root -> index of its member bitmap.
+  std::unordered_map<int32_t, int32_t> class_index;
   for (int32_t obj = 0; obj < object_count_; ++obj) {
-    class_members_[Find(reg_count_ + obj)].push_back(obj);
+    const auto [it, fresh] =
+        class_index.emplace(Find(reg_count_ + obj), static_cast<int32_t>(solution_.pts.size()));
+    if (fresh) {
+      solution_.pts.emplace_back();
+    }
+    solution_.pts[it->second].Insert(static_cast<uint32_t>(obj));
   }
-  for (auto& [root, members] : class_members_) {
-    std::sort(members.begin(), members.end());
-    stats_.points_to_bytes += sizeof(int32_t) * members.capacity() + sizeof(root);
+  solution_.rep.assign(reg_count_, -1);
+  for (int32_t reg = 0; reg < reg_count_; ++reg) {
+    const auto it = class_index.find(PointeeClassOf(reg));
+    if (it != class_index.end()) {
+      solution_.rep[reg] = it->second;
+    }
   }
-  stats_.points_to_bytes += sizeof(int32_t) * (parent_.capacity() + successor_.capacity());
+  AnalysisStats& stats = solution_.stats;
+  for (const SparseBitmap& members : solution_.pts) {
+    stats.points_to_bytes += members.MemoryBytes();
+  }
+  stats.points_to_bytes +=
+      sizeof(int32_t) * (parent_.capacity() + successor_.capacity() + solution_.rep.capacity());
 }
 
 std::set<int32_t> PointsToAnalysis::PointsTo(int32_t reg) const {
   std::set<int32_t> result;
-  const int32_t pointee_class = PointeeClassOf(reg);
-  if (pointee_class == -1) {
-    return result;
-  }
-  const auto it = class_members_.find(pointee_class);
-  if (it == class_members_.end()) {
-    return result;
-  }
-  result.insert(it->second.begin(), it->second.end());
+  solution_.Locations(reg).ForEach(
+      [&](uint32_t object) { result.insert(result.end(), static_cast<int32_t>(object)); });
   return result;
 }
 
@@ -214,23 +222,6 @@ bool PointsToAnalysis::MayAlias(int32_t reg_a, int32_t reg_b) const {
     return false;
   }
   return Find(succ_a) == Find(succ_b);
-}
-
-bool PointsToAnalysis::MayPointInto(int32_t reg, const std::set<int32_t>& objects) const {
-  const int32_t pointee_class = PointeeClassOf(reg);
-  if (pointee_class == -1) {
-    return false;
-  }
-  const auto it = class_members_.find(pointee_class);
-  if (it == class_members_.end()) {
-    return false;
-  }
-  for (int32_t obj : it->second) {
-    if (objects.count(obj) != 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mvee

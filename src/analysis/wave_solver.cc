@@ -133,13 +133,14 @@ class TarjanScc {
 
 }  // namespace
 
-WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program) {
+PointsToSolution SolveWave(const MirModule& module, const ConstraintProgram& program) {
   const int32_t n = program.reg_count;
-  WaveSolution solution;
+  const LocationSpace& locations = program.locations;
+  PointsToSolution solution;
+  solution.locations = locations;
   AnalysisStats& stats = solution.stats;
-  stats.solver = "andersen-wave";
-  stats.constraints =
-      program.addr_of.size() + program.copies.size() + program.indirect_calls.size();
+  stats.solver = program.SolverName("wave");
+  stats.constraints = program.ConstraintCount();
   stats.call_edges_resolved = program.direct_call_edges;
 
   UnionFind uf(n);
@@ -148,10 +149,12 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
   // Difference propagation moves only pts[r] - prev[r] per wave.
   std::vector<SparseBitmap> prev(n);
   std::vector<std::vector<int32_t>> succ(n);
+  // Field-select out-edges (target, slot); a self edge is a real constraint.
+  std::vector<std::vector<std::pair<int32_t, int32_t>>> selects(n);
 
-  for (const auto& [dst, object] : program.addr_of) {
-    if (dst >= 0 && dst < n && object >= 0) {
-      pts[dst].Insert(static_cast<uint32_t>(object));
+  for (const auto& [dst, loc] : program.addr_of) {
+    if (dst >= 0 && dst < n) {
+      pts[dst].Insert(loc);
     }
   }
   for (const auto& [dst, src] : program.copies) {
@@ -160,13 +163,19 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
       ++stats.copy_edges;
     }
   }
+  for (const FieldSelectConstraint& select : program.field_selects) {
+    if (select.dst >= 0 && select.dst < n && select.src >= 0 && select.src < n) {
+      selects[select.src].emplace_back(select.dst, select.slot);
+    }
+  }
 
   // Per indirect call site: the callee set already lowered to edges.
   std::vector<SparseBitmap> resolved(program.indirect_calls.size());
+  std::vector<int32_t> new_callees;
   std::vector<std::pair<int32_t, int32_t>> new_edges;
 
   for (;;) {
-    // --- Phase 1: normalize successor lists on live representatives. ---
+    // --- Phase 1: normalize out-edge lists on live representatives. ---
     std::vector<int32_t> live;
     live.reserve(static_cast<size_t>(n));
     for (int32_t r = 0; r < n; ++r) {
@@ -181,6 +190,13 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
       std::sort(edges.begin(), edges.end());
       edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
       edges.erase(std::remove(edges.begin(), edges.end(), r), edges.end());
+      auto& select_edges = selects[r];
+      for (auto& edge : select_edges) {
+        edge.first = uf.Find(edge.first);
+      }
+      std::sort(select_edges.begin(), select_edges.end());
+      select_edges.erase(std::unique(select_edges.begin(), select_edges.end()),
+                         select_edges.end());
     }
 
     // --- Phase 2: online cycle detection — SCCs of the copy graph. ---
@@ -198,14 +214,16 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
         uf.Union(rep, member);
         pts[rep].UnionWith(pts[member]);
         pts[member] = SparseBitmap();
-        // prev is per-successor-set state; the merged node has the union of
-        // everyone's successors, to which no single member has pushed its
+        // prev is per-out-edge-set state; the merged node has the union of
+        // everyone's out-edges, to which no single member has pushed its
         // whole frontier. Reset so the next wave re-pushes everything once.
         prev[member] = SparseBitmap();
-        auto& merged_edges = succ[rep];
-        merged_edges.insert(merged_edges.end(), succ[member].begin(), succ[member].end());
+        succ[rep].insert(succ[rep].end(), succ[member].begin(), succ[member].end());
         succ[member].clear();
         succ[member].shrink_to_fit();
+        selects[rep].insert(selects[rep].end(), selects[member].begin(), selects[member].end());
+        selects[member].clear();
+        selects[member].shrink_to_fit();
       }
       prev[rep] = SparseBitmap();
       stats.sccs_collapsed += component.size() - 1;
@@ -213,8 +231,8 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
 
     // --- Phase 4: one topological wave of difference propagation. ---
     // Components arrive in reverse topological order; walk them backwards so
-    // every node pushes before its successors pull, making one pass reach
-    // the fixpoint for the current graph.
+    // every node pushes before its copy successors pull, making one pass
+    // reach the fixpoint for the current copy graph.
     bool propagated = false;
     for (auto it = components.rbegin(); it != components.rend(); ++it) {
       // Phase 3 only unions within a component, so front() is the live
@@ -233,23 +251,30 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
           pts[target].UnionWith(delta);
         }
       }
+      for (const auto& [raw_target, slot] : selects[rep]) {
+        SparseBitmap selected;
+        delta.ForEach([&](uint32_t loc) { selected.Insert(locations.Select(loc, slot)); });
+        pts[uf.Find(raw_target)].UnionWith(selected);
+      }
     }
 
     // --- Phase 5: on-the-fly call graph — resolve indirect calls. ---
+    // New callees are collected before any edge is seeded: seeding can grow
+    // the fptr's own bitmap (a callee parameter collapsed with it).
     bool grew = false;
     for (size_t site = 0; site < program.indirect_calls.size(); ++site) {
       const IndirectCallConstraint& call = program.indirect_calls[site];
       if (call.fptr < 0 || call.fptr >= n) {
         continue;
       }
-      pts[uf.Find(call.fptr)].ForEach([&](uint32_t object) {
-        if (object >= program.object_function.size()) {
-          return;
+      new_callees.clear();
+      pts[uf.Find(call.fptr)].ForEach([&](uint32_t loc) {
+        const int32_t callee = program.CalleeOf(loc);
+        if (callee >= 0 && resolved[site].Insert(static_cast<uint32_t>(callee))) {
+          new_callees.push_back(callee);
         }
-        const int32_t callee = program.object_function[object];
-        if (callee < 0 || !resolved[site].Insert(static_cast<uint32_t>(callee))) {
-          return;
-        }
+      });
+      for (int32_t callee : new_callees) {
         ++stats.call_edges_resolved;
         new_edges.clear();
         AppendCallCopies(module, callee, call.dst, call.args, &new_edges);
@@ -270,7 +295,7 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
           pts[dst_rep].UnionWith(pts[src_rep]);
           grew = true;
         }
-      });
+      }
     }
 
     if (!propagated && !grew) {

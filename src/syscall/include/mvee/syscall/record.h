@@ -119,8 +119,8 @@ struct SyscallRequest {
 
 // Well-known syscall-ordering domain ids (docs/syscall_ordering.md).
 //
-// Under sharded ordering the monitor partitions ordered calls by the
-// resource they touch instead of funnelling them through one global clock.
+// The monitor partitions ordered calls by the resource they touch instead of
+// funnelling them through one global clock.
 // Ids below kFirstFd are process-wide domains; ids >= kFirstFd are per-fd
 // domains handed out by the fd table at descriptor allocation and retired at
 // close. The master stamps the domain id into every ordered result so slaves
@@ -152,11 +152,11 @@ struct SyscallResult {
   // buffers with no intermediate clone. Empty when no pool was provided.
   std::span<const uint8_t> out_payload;
   // Timestamp from the master monitor's syscall-ordering clock (kOrdered
-  // calls only); slaves spin until their private clock matches (§4.1).
-  // Under sharded ordering the timestamp counts within `order_domain` only.
+  // calls only); slaves spin until their private clock matches (§4.1). The
+  // timestamp counts within `order_domain` only.
   uint64_t order_timestamp = 0;
-  // Ordering domain the timestamp belongs to (sharded ordering only; the
-  // global-clock baseline leaves it at kFdNamespace and ignores it).
+  // Ordering domain the timestamp belongs to, stamped by the master on every
+  // kOrdered result; slaves replay against that domain's clock.
   uint32_t order_domain = OrderDomainIds::kFdNamespace;
   // Monitor-internal pointer to the stamped OrderDomain, letting slaves
   // replay without a domain-table lookup. Type-erased so the syscall layer

@@ -27,42 +27,8 @@
 #include "mvee/sync/primitives.h"
 #include "mvee/util/variant_killed.h"
 
-// --- Binary-wide heap allocation counter (rendezvous_test idiom) ------------
-
-namespace {
-std::atomic<uint64_t> g_heap_allocs{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) {
-    return ptr;
-  }
-  throw std::bad_alloc();
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::aligned_alloc(align, (size + align - 1) / align * align)) {
-    return ptr;
-  }
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+// Binary-wide heap allocation counter (g_heap_allocs).
+#include "counting_allocator.h"
 
 namespace mvee {
 namespace {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "mvee/analysis/andersen.h"
 #include "mvee/analysis/assignment_plan.h"
@@ -628,10 +630,40 @@ TEST(InterprocCorpusTest, AndersenKeepsConflatedNoiseUnmarked) {
   EXPECT_GE(spurious(IdentifySyncOps(corpus.module)), spec.conflated_noise);
 }
 
+TEST(InterprocCorpusTest, SteensgaardReportCannotNullRouteRealSyncObjects) {
+  // DeriveAssignmentPlan takes its aliasing facts from Andersen but its sync
+  // objects from whichever report it is given. Unification's spurious sync
+  // objects may be null-routed (nothing real rides them); every object
+  // Andersen marks must keep the route the Andersen report gives it, or a
+  // real sync op could go unrecorded.
+  const InterprocCorpus corpus = BuildInterprocModule(ScaledInterprocSpecs().front());
+  const SyncOpReport andersen = IdentifySyncOpsAndersen(corpus.module);
+  const SyncOpReport steensgaard = IdentifySyncOps(corpus.module);
+  ASSERT_GT(steensgaard.sync_objects.size(), andersen.sync_objects.size())
+      << "the corpus must plant unification-only sync objects";
+
+  std::map<int32_t, AgentKind> andersen_routes;
+  for (const auto& variable : DeriveAssignmentPlan(corpus.module, andersen).variables) {
+    andersen_routes[variable.object] = variable.kind;
+  }
+  size_t real_routes = 0;
+  for (const auto& variable : DeriveAssignmentPlan(corpus.module, steensgaard).variables) {
+    const auto real = andersen_routes.find(variable.object);
+    if (real == andersen_routes.end()) {
+      continue;  // Steensgaard-only: any route, kNull included, is harmless.
+    }
+    ++real_routes;
+    EXPECT_EQ(variable.kind, real->second) << variable.name;
+    EXPECT_NE(variable.kind, AgentKind::kNull) << variable.name;
+  }
+  EXPECT_EQ(real_routes, andersen.sync_objects.size());
+}
+
 // --- Differential property tests: fast == baseline, Andersen <= Steensgaard
 
-// Randomized module with pointer chains, direct/indirect calls, params and
-// returns. Deterministic per seed; failures below print the seed.
+// Randomized module with pointer chains, opaque and static-field kGeps,
+// direct/indirect calls, params and returns. Deterministic per seed;
+// failures below print the seed.
 MirModule BuildRandomModule(uint64_t seed) {
   Rng rng(seed);
   MirBuilder builder("random_" + std::to_string(seed));
@@ -677,8 +709,12 @@ MirModule BuildRandomModule(uint64_t seed) {
         case 1:
           builder.Mov(any_reg(), any_reg());
           break;
-        case 2:
-          builder.Gep(any_reg(), any_reg());
+        case 2:  // Opaque arithmetic or a static field select.
+          if (rng.NextBool(0.5)) {
+            builder.Gep(any_reg(), any_reg());
+          } else {
+            builder.GepField(any_reg(), any_reg(), static_cast<int32_t>(rng.NextBelow(4)));
+          }
           break;
         case 3:
           builder.LockRmw(any_reg(), "rmw:" + std::to_string(i));
@@ -783,6 +819,51 @@ TEST(DifferentialTest, PipelinesAgreeAcrossSolversOnReports) {
   }
 }
 
+TEST(DifferentialTest, FieldSensitiveWaveMatchesBaselineExactly) {
+  // The field-select transfer in both engines: per register, identical
+  // (object, field) sets, and identical end-to-end reports.
+  AnalysisOptions baseline_options;
+  baseline_options.fast_solver = false;
+  AnalysisOptions wave_options;
+  wave_options.fast_solver = true;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const MirModule module = BuildRandomModule(seed);
+    const FieldSensitiveAnalysis baseline(module, baseline_options);
+    const FieldSensitiveAnalysis wave(module, wave_options);
+    for (int32_t reg = 0; reg < module.register_count; ++reg) {
+      ASSERT_EQ(wave.PointsTo(reg), baseline.PointsTo(reg))
+          << "solutions diverge at r" << reg << "; reproduce with seed=" << seed;
+    }
+    SyncOpAnalysisOptions report_baseline;
+    report_baseline.analysis = baseline_options;
+    SyncOpAnalysisOptions report_wave;
+    report_wave.analysis = wave_options;
+    const SyncOpReport a = IdentifySyncOpsFieldSensitive(module, report_baseline);
+    const SyncOpReport b = IdentifySyncOpsFieldSensitive(module, report_wave);
+    ASSERT_EQ(a.sync_objects, b.sync_objects) << "seed=" << seed;
+    ASSERT_EQ(a.type_iii.size(), b.type_iii.size()) << "seed=" << seed;
+    ASSERT_EQ(a.unmarked_memops, b.unmarked_memops) << "seed=" << seed;
+  }
+}
+
+TEST(DifferentialTest, FieldSensitiveProjectsOntoAndersen) {
+  // A field select never changes the object, so dropping the fields of the
+  // field-sensitive solution gives Andersen's solution exactly.
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const MirModule module = BuildRandomModule(seed);
+    const FieldSensitiveAnalysis sensitive(module);
+    const AndersenAnalysis andersen(module);
+    for (int32_t reg = 0; reg < module.register_count; ++reg) {
+      std::set<int32_t> objects;
+      for (const FieldLoc& loc : sensitive.PointsTo(reg)) {
+        objects.insert(loc.object);
+      }
+      ASSERT_EQ(objects, andersen.PointsTo(reg))
+          << "projection diverges at r" << reg << "; reproduce with seed=" << seed;
+    }
+  }
+}
+
 TEST(StatsTest, ReportsCarrySolverStats) {
   const MirModule module = BuildListing1Module();
   const SyncOpReport steensgaard = IdentifySyncOps(module);
@@ -799,8 +880,11 @@ TEST(StatsTest, ReportsCarrySolverStats) {
   const SyncOpReport baseline = IdentifySyncOpsAndersen(module, baseline_options);
   EXPECT_EQ(baseline.stats.solver, "andersen-baseline");
   EXPECT_GT(baseline.stats.points_to_bytes, 0u);
-  const SyncOpReport sensitive = IdentifySyncOpsFieldSensitive(module);
-  EXPECT_EQ(sensitive.stats.solver, "field-sensitive");
+  const SyncOpReport sensitive_wave = IdentifySyncOpsFieldSensitive(module, wave_options);
+  EXPECT_EQ(sensitive_wave.stats.solver, "field-sensitive-wave");
+  const SyncOpReport sensitive_baseline =
+      IdentifySyncOpsFieldSensitive(module, baseline_options);
+  EXPECT_EQ(sensitive_baseline.stats.solver, "field-sensitive-baseline");
 }
 
 }  // namespace

@@ -22,51 +22,11 @@
 #include "mvee/util/fault_injection.h"
 #include "mvee/util/park.h"
 
-// --- Binary-wide heap allocation counter ------------------------------------
-//
-// Every operator new in this binary bumps g_heap_allocs. The allocation tests
-// snapshot the counter inside a steady-state syscall loop: any heap traffic
-// from the rendezvous, the payload replication, or the loose ring shows up as
-// a nonzero delta. Deletes are not tracked (only allocation matters).
-
-namespace {
-std::atomic<uint64_t> g_heap_allocs{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) {
-    return ptr;
-  }
-  throw std::bad_alloc{};
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* ptr = nullptr;
-  if (posix_memalign(&ptr, align < sizeof(void*) ? sizeof(void*) : align,
-                     size == 0 ? 1 : size) != 0) {
-    throw std::bad_alloc{};
-  }
-  return ptr;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+// Binary-wide heap allocation counter: the allocation tests snapshot
+// g_heap_allocs inside a steady-state syscall loop, so any heap traffic from
+// the rendezvous, the payload replication, or the loose ring shows up as a
+// nonzero delta.
+#include "counting_allocator.h"
 
 namespace mvee {
 namespace {
